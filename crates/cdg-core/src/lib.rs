@@ -37,7 +37,6 @@ pub mod dot;
 pub mod error;
 pub mod extract;
 pub mod kernel;
-pub mod megabatch;
 pub mod network;
 pub mod parser;
 pub mod pool;
@@ -58,10 +57,6 @@ pub use consistency::{
 };
 pub use error::{BudgetResource, EngineError, ParseBudget};
 pub use extract::PrecedenceGraph;
-pub use megabatch::{
-    note_mega_fallback, parse_batch_mega, parse_batch_mega_with_pool, BatchStrategy, MegaBatch,
-    MegaFallback,
-};
 pub use network::{EvalStrategy, FilterStrategy, NetParts, NetSlab, Network, SlotId};
 pub use parser::{
     parse, parse_with_pool, parse_with_state, FilterMode, ParseOptions, ParseOutcome,

@@ -23,7 +23,6 @@ const FAULTS: &[&str] = &[
 ];
 const FILTERS: &[&str] = &["auto", "naive", "incremental", "bmm"];
 const EVALS: &[&str] = &["kernel", "naive"];
-const BATCHES: &[&str] = &["per-sentence", "mega"];
 const PACKED: &[&str] = &["true", "false"];
 
 /// `Some(index into a pool of len)` or `None` (key omitted), uniformly.
@@ -45,7 +44,6 @@ fn assemble(
     parses: Option<usize>,
     filter: Option<usize>,
     eval: Option<usize>,
-    batch: Option<usize>,
     threads: Option<usize>,
     packed: Option<usize>,
 ) -> Vec<String> {
@@ -67,7 +65,6 @@ fn assemble(
     push("parses", parses.map(|n| n.to_string()));
     push("filter", filter.map(|i| FILTERS[i].to_string()));
     push("eval", eval.map(|i| EVALS[i].to_string()));
-    push("batch", batch.map(|i| BATCHES[i].to_string()));
     push("threads", threads.map(|t| t.to_string()));
     push("packed", packed.map(|i| PACKED[i].to_string()));
     tokens
@@ -86,13 +83,12 @@ proptest! {
         parses in prop_oneof![(1usize..=12).prop_map(Some), (0usize..1).prop_map(|_| None)],
         filter in opt(FILTERS.len()),
         eval in opt(EVALS.len()),
-        batch in opt(BATCHES.len()),
         threads in prop_oneof![(1usize..=8).prop_map(Some), (0usize..1).prop_map(|_| None)],
         packed in opt(PACKED.len()),
     ) {
         let tokens = assemble(
             engine, budget, class, faults, transient, parses, filter, eval,
-            batch, threads, packed,
+            threads, packed,
         );
         let spec = tokens.join(" ");
         let config = EngineConfig::parse(&spec)
@@ -122,7 +118,7 @@ proptest! {
     ) {
         let spec = assemble(
             engine, budget, None, faults, None, parses, None, eval, None,
-            None, packed,
+            packed,
         )
         .join(" ");
         let config = EngineConfig::parse(&spec).unwrap();

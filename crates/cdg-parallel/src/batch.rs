@@ -13,7 +13,7 @@
 //! [`cdg_core::parse_batch`] at any thread count — asserted by the
 //! determinism suite.
 
-use cdg_core::{parse_batch_mega_with_pool, parse_with_pool, ArcPool, BatchOutcome, ParseOptions};
+use cdg_core::{parse_with_pool, ArcPool, BatchOutcome, ParseOptions};
 use cdg_grammar::{Grammar, Sentence};
 use rayon::prelude::*;
 
@@ -38,33 +38,6 @@ pub fn parse_batch(
             summary
         })
         .collect()
-}
-
-/// Sentence-parallel mega-batching: the batch is cut into one contiguous
-/// chunk per worker, and each chunk is flattened into a joined SoA sweep
-/// ([`cdg_core::megabatch`]) with its own [`ArcPool`]. Chunk boundaries
-/// depend only on the batch length and thread count, and each sentence's
-/// result is independent of its chunk-mates, so outcomes are byte-identical
-/// to [`parse_batch`] (and to `cdg_core::parse_batch`) at any thread count.
-pub fn parse_batch_mega(
-    grammar: &Grammar,
-    sentences: &[Sentence],
-    options: ParseOptions,
-    max_parses: usize,
-) -> Vec<BatchOutcome> {
-    let workers = rayon::current_num_threads().max(1);
-    let chunk = sentences.len().div_ceil(workers).max(1);
-    let ranges: Vec<(usize, usize)> = (0..sentences.len())
-        .step_by(chunk)
-        .map(|start| (start, (start + chunk).min(sentences.len())))
-        .collect();
-    let per_chunk: Vec<Vec<BatchOutcome>> = ranges
-        .par_iter()
-        .map_init(ArcPool::new, move |pool, &(start, end)| {
-            parse_batch_mega_with_pool(grammar, &sentences[start..end], options, max_parses, pool)
-        })
-        .collect();
-    per_chunk.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -95,20 +68,7 @@ mod tests {
             rayon::set_num_threads(threads);
             let par = parse_batch(&g, &sentences, ParseOptions::default(), 50);
             assert_eq!(seq, par, "batch diverged at {threads} threads");
-            let mega = parse_batch_mega(&g, &sentences, ParseOptions::default(), 50);
-            assert_eq!(seq, mega, "mega batch diverged at {threads} threads");
         }
         rayon::set_num_threads(0);
-    }
-
-    #[test]
-    fn mega_chunking_handles_tiny_and_empty_batches() {
-        let g = english::grammar();
-        let lex = english::lexicon(&g);
-        assert!(parse_batch_mega(&g, &[], ParseOptions::default(), 10).is_empty());
-        let one = vec![lex.sentence("she sleeps").unwrap()];
-        let out = parse_batch_mega(&g, &one, ParseOptions::default(), 10);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].accepted);
     }
 }

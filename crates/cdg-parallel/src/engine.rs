@@ -73,14 +73,8 @@ impl Engine for Pram {
         }
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
-        let outcomes = match req.batch {
-            cdg_core::BatchStrategy::PerSentence => {
-                crate::batch::parse_batch(req.grammar, sentences, req.options, req.max_parses)
-            }
-            cdg_core::BatchStrategy::Mega => {
-                crate::batch::parse_batch_mega(req.grammar, sentences, req.options, req.max_parses)
-            }
-        };
+        let outcomes =
+            crate::batch::parse_batch(req.grammar, sentences, req.options, req.max_parses);
         obsv::counter_add("batch.sentences", sentences.len() as u64);
         let (trace, metrics) = scope.finish();
         Ok(BatchReport {

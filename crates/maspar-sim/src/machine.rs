@@ -7,7 +7,6 @@ use crate::plural::Plural;
 use crate::scan::SegmentMap;
 use crate::stats::{CostModel, MachineStats};
 use rayon::prelude::*;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Static machine parameters.
@@ -90,16 +89,6 @@ pub struct Machine {
     /// like `enabled`. Empty when unarmed (so the fault-free path never
     /// consults it).
     virt_dead: Vec<u64>,
-    /// Ghost mode: every broadcast instruction charges exactly what the
-    /// real machine would charge, then returns without touching data
-    /// (plurals stay empty). Used to replay a program's instruction
-    /// stream for per-sentence [`MachineStats`] accounting after the data
-    /// work already happened on a joined mega-batch machine.
-    ghost: bool,
-    /// Pre-recorded results handed back by [`Machine::reduce_sum`] in
-    /// ghost mode, in program order (the data-dependent values the real
-    /// run observed).
-    ghost_reductions: VecDeque<u64>,
     pub stats: MachineStats,
 }
 
@@ -150,8 +139,6 @@ impl Machine {
             retired: Vec::new(),
             healthy: Vec::new(),
             virt_dead: Vec::new(),
-            ghost: false,
-            ghost_reductions: VecDeque::new(),
             stats: MachineStats::default(),
         }
     }
@@ -159,40 +146,6 @@ impl Machine {
     /// Full-size MP-1 with default cost model.
     pub fn mp1(n_virt: usize) -> Self {
         Machine::new(MachineConfig::default(), n_virt)
-    }
-
-    /// A ghost machine: charges instructions and memory exactly like
-    /// [`Machine::new`] for the same program, but executes no data work —
-    /// plurals are allocated empty and every broadcast returns after its
-    /// `charge_*` call. Data-dependent scalars ([`Machine::reduce_sum`])
-    /// are replayed from the queue loaded via
-    /// [`Machine::push_ghost_reductions`]. Ghost machines must never be
-    /// fault-armed or traced: both paths inspect plural contents.
-    pub fn new_ghost(config: MachineConfig, n_virt: usize) -> Self {
-        let mut m = Machine::new(config, n_virt);
-        m.ghost = true;
-        m
-    }
-
-    /// Is this a ghost (charge-only) machine?
-    pub fn is_ghost(&self) -> bool {
-        self.ghost
-    }
-
-    /// Queue the `reduce_sum` results a ghost replay should observe, in
-    /// program order. Call before running the program; extra queued
-    /// entries are simply never popped (see
-    /// [`Machine::leftover_ghost_reductions`]).
-    pub fn push_ghost_reductions(&mut self, values: &[u64]) {
-        assert!(self.ghost, "reduction replay is ghost-only");
-        self.ghost_reductions.extend(values.iter().copied());
-    }
-
-    /// Reduction results queued but not consumed (a replay that early-exits
-    /// leaves its trailing entries here; callers may assert they are all
-    /// zeros).
-    pub fn leftover_ghost_reductions(&self) -> Vec<u64> {
-        self.ghost_reductions.iter().copied().collect()
     }
 
     pub fn config(&self) -> &MachineConfig {
@@ -553,9 +506,6 @@ impl Machine {
     /// 16 KB-per-PE budget (each physical PE holds `virt_factor` layers).
     pub fn alloc<T: Clone + Send + Sync>(&mut self, init: T) -> Plural<T> {
         self.charge_alloc(std::mem::size_of::<T>());
-        if self.ghost {
-            return Plural::from_vec(Vec::new());
-        }
         Plural::from_vec(vec![init; self.n_virt])
     }
 
@@ -570,9 +520,6 @@ impl Machine {
     /// unpacked programs hit the 16 KB budget at the same instruction.
     pub fn alloc_bits(&mut self, init: bool) -> PluralBits {
         self.charge_alloc(std::mem::size_of::<bool>());
-        if self.ghost {
-            return PluralBits::filled(0, init);
-        }
         PluralBits::filled(self.n_virt, init)
     }
 
@@ -601,10 +548,6 @@ impl Machine {
         p: &mut Plural<T>,
         f: impl Fn(usize, &mut T) + Sync,
     ) {
-        if self.ghost {
-            self.charge_plural_op();
-            return;
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_plural_op();
         self.count_dead_skips();
@@ -629,10 +572,6 @@ impl Machine {
         src: &Plural<U>,
         f: impl Fn(usize, &mut T, &U) + Sync,
     ) {
-        if self.ghost {
-            self.charge_plural_op();
-            return;
-        }
         assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
         assert_eq!(src.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_plural_op();
@@ -660,10 +599,6 @@ impl Machine {
         b: &Plural<V>,
         f: impl Fn(usize, &mut T, &U, &V) + Sync,
     ) {
-        if self.ghost {
-            self.charge_plural_op();
-            return;
-        }
         assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
         assert_eq!(a.len(), self.n_virt, "plural size mismatch");
         assert_eq!(b.len(), self.n_virt, "plural size mismatch");
@@ -707,10 +642,6 @@ impl Machine {
         mask: &Plural<bool>,
         body: impl FnOnce(&mut Machine) -> R,
     ) -> R {
-        if self.ghost {
-            self.charge_plural_op();
-            return body(self);
-        }
         assert_eq!(mask.len(), self.n_virt, "mask size mismatch");
         let saved = self.enabled.clone();
         self.activity_stack.push(saved);
@@ -739,10 +670,6 @@ impl Machine {
         mask: &PluralBits,
         body: impl FnOnce(&mut Machine) -> R,
     ) -> R {
-        if self.ghost {
-            self.charge_plural_op();
-            return body(self);
-        }
         assert_eq!(mask.len(), self.n_virt, "mask size mismatch");
         let saved = self.enabled.clone();
         self.activity_stack.push(saved);
@@ -774,10 +701,6 @@ impl Machine {
 
     /// Global OR over active PEs (the MP-1's `globalor`).
     pub fn reduce_or(&mut self, p: &Plural<bool>) -> bool {
-        if self.ghost {
-            self.charge_scan();
-            return false;
-        }
         assert_eq!(p.len(), self.n_virt);
         let op = self.charge_scan();
         self.count_dead_skips();
@@ -791,10 +714,6 @@ impl Machine {
 
     /// Global AND over active PEs (identity `true` when none active).
     pub fn reduce_and(&mut self, p: &Plural<bool>) -> bool {
-        if self.ghost {
-            self.charge_scan();
-            return true;
-        }
         assert_eq!(p.len(), self.n_virt);
         let op = self.charge_scan();
         self.count_dead_skips();
@@ -808,10 +727,6 @@ impl Machine {
 
     /// Global sum of a u64 plural over active PEs.
     pub fn reduce_sum(&mut self, p: &Plural<u64>) -> u64 {
-        if self.ghost {
-            self.charge_scan();
-            return self.ghost_reductions.pop_front().unwrap_or(0);
-        }
         assert_eq!(p.len(), self.n_virt);
         let op = self.charge_scan();
         self.count_dead_skips();
@@ -845,10 +760,6 @@ impl Machine {
     /// the reductions, but enumeration-style kernels (e.g. compacting the
     /// surviving role values) are built on scanAdd.
     pub fn scan_add(&mut self, p: &Plural<u64>, segs: &SegmentMap) -> Plural<u64> {
-        if self.ghost {
-            self.charge_scan();
-            return self.alloc(0u64);
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         assert_eq!(segs.len(), self.n_virt, "segment map size mismatch");
         let op = self.charge_scan();
@@ -891,10 +802,6 @@ impl Machine {
         identity: bool,
         op: impl Fn(bool, bool) -> bool + Sync,
     ) -> Plural<bool> {
-        if self.ghost {
-            self.charge_scan();
-            return self.alloc(identity);
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         assert_eq!(segs.len(), self.n_virt, "segment map size mismatch");
         let op_id = self.charge_scan();
@@ -932,10 +839,6 @@ impl Machine {
     /// (MPL's enumeration primitive — the ACU uses it to pick a
     /// representative PE). Costs one scan.
     pub fn select_first(&mut self, p: &Plural<bool>) -> Option<usize> {
-        if self.ghost {
-            self.charge_scan();
-            return None;
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         self.charge_scan();
         self.count_dead_skips();
@@ -984,10 +887,6 @@ impl Machine {
         index: &Plural<usize>,
         dst: &mut Plural<T>,
     ) {
-        if self.ghost {
-            self.charge_router();
-            return;
-        }
         assert_eq!(src.len(), self.n_virt);
         assert_eq!(index.len(), self.n_virt);
         assert_eq!(dst.len(), self.n_virt);
@@ -1027,10 +926,6 @@ impl Machine {
         index: &Plural<usize>,
         dst: &mut Plural<T>,
     ) {
-        if self.ghost {
-            self.charge_router();
-            return;
-        }
         assert_eq!(src.len(), self.n_virt);
         assert_eq!(index.len(), self.n_virt);
         assert_eq!(dst.len(), self.n_virt);
@@ -1081,10 +976,6 @@ impl Machine {
     /// `par_map(&mut p, |pe, v| *v = want[pe])`, executed as a masked
     /// word merge per 64 PEs.
     pub fn par_write_bits(&mut self, dst: &mut PluralBits, want: &[bool]) {
-        if self.ghost {
-            self.charge_plural_op();
-            return;
-        }
         assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
         assert_eq!(want.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_plural_op();
@@ -1116,10 +1007,6 @@ impl Machine {
         src: &Plural<u64>,
         f: impl Fn(usize, u64) -> bool,
     ) {
-        if self.ghost {
-            self.charge_plural_op();
-            return;
-        }
         assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
         assert_eq!(src.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_plural_op();
@@ -1156,10 +1043,6 @@ impl Machine {
         src: &PluralBits,
         f: impl Fn(usize, &mut u64, bool),
     ) {
-        if self.ghost {
-            self.charge_plural_op();
-            return;
-        }
         assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
         assert_eq!(src.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_plural_op();
@@ -1180,11 +1063,6 @@ impl Machine {
     /// Build a fresh packed plural in one instruction (live PEs run `f`;
     /// the rest hold `fill`) — the packed [`Machine::par_init`].
     pub fn par_init_bits(&mut self, fill: bool, f: impl Fn(usize) -> bool) -> PluralBits {
-        if self.ghost {
-            let mut p = self.alloc_bits(fill);
-            self.par_write_bits(&mut p, &[]);
-            return p;
-        }
         let want: Vec<bool> = (0..self.n_virt).map(f).collect();
         let mut p = self.alloc_bits(fill);
         self.par_write_bits(&mut p, &want);
@@ -1194,10 +1072,6 @@ impl Machine {
     /// Global OR over active PEs of a packed plural: a word scan with
     /// early exit — 64 PEs per iteration instead of one.
     pub fn reduce_or_bits(&mut self, p: &PluralBits) -> bool {
-        if self.ghost {
-            self.charge_scan();
-            return false;
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_scan();
         self.count_dead_skips();
@@ -1214,10 +1088,6 @@ impl Machine {
     /// Global AND over active PEs of a packed plural (identity `true`
     /// when none active): early-exits on the first live zero bit.
     pub fn reduce_and_bits(&mut self, p: &PluralBits) -> bool {
-        if self.ghost {
-            self.charge_scan();
-            return true;
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         let op = self.charge_scan();
         self.count_dead_skips();
@@ -1234,10 +1104,6 @@ impl Machine {
     /// `selectFirst` over a packed plural: the first nonzero live word
     /// plus a `trailing_zeros` pinpoints the lowest flagged PE.
     pub fn select_first_bits(&mut self, p: &PluralBits) -> Option<usize> {
-        if self.ghost {
-            self.charge_scan();
-            return None;
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         self.charge_scan();
         self.count_dead_skips();
@@ -1263,10 +1129,6 @@ impl Machine {
     }
 
     fn seg_reduce_bits(&mut self, p: &PluralBits, segs: &SegmentMap, identity: bool) -> PluralBits {
-        if self.ghost {
-            self.charge_scan();
-            return self.alloc_bits(identity);
-        }
         assert_eq!(p.len(), self.n_virt, "plural size mismatch");
         assert_eq!(segs.len(), self.n_virt, "segment map size mismatch");
         let op_id = self.charge_scan();
@@ -1300,10 +1162,6 @@ impl Machine {
     /// senders and receivers are iterated via word masks, fetching one bit
     /// per live PE.
     pub fn gather_bits(&mut self, src: &PluralBits, index: &Plural<usize>, dst: &mut PluralBits) {
-        if self.ghost {
-            self.charge_router();
-            return;
-        }
         assert_eq!(src.len(), self.n_virt);
         assert_eq!(index.len(), self.n_virt);
         assert_eq!(dst.len(), self.n_virt);
@@ -1335,10 +1193,6 @@ impl Machine {
     /// [`Machine::scatter`]): applied in descending PE order so the
     /// lowest-numbered sender wins write conflicts, exactly as unpacked.
     pub fn scatter_bits(&mut self, src: &PluralBits, index: &Plural<usize>, dst: &mut PluralBits) {
-        if self.ghost {
-            self.charge_router();
-            return;
-        }
         assert_eq!(src.len(), self.n_virt);
         assert_eq!(index.len(), self.n_virt);
         assert_eq!(dst.len(), self.n_virt);
@@ -2011,62 +1865,5 @@ mod tests {
             m.gather_bits(&src, &idx, &mut dst);
         }));
         assert!(r.is_err(), "fault-free OOB gather is a program bug");
-    }
-
-    /// One representative program exercising every op family, run on a
-    /// real machine and replayed on a ghost: charges must be identical.
-    fn stats_program(m: &mut Machine) -> Vec<u64> {
-        let mut reductions = Vec::new();
-        let segs = SegmentMap::uniform(m.n_virt(), m.n_virt() / 2);
-        let flags = m.par_init(false, |pe| pe % 3 == 0);
-        let mut counts = m.alloc(0u64);
-        m.with_activity(&flags, |m| {
-            m.par_map(&mut counts, |pe, v| *v = pe as u64);
-        });
-        reductions.push(m.reduce_sum(&counts));
-        let packed = m.par_init_bits(false, |pe| pe % 2 == 0);
-        let reduced = m.with_activity_bits(&packed, |m| m.scan_or_bits(&packed, &segs));
-        let idx = m.par_init(0usize, |pe| pe / 2);
-        let mut fetched = m.alloc_bits(false);
-        m.gather_bits(&reduced, &idx, &mut fetched);
-        let mut lost = m.alloc(0u64);
-        m.par_zip_bits(&mut lost, &fetched, |_, out, b| *out = b as u64);
-        reductions.push(m.reduce_sum(&lost));
-        m.free(lost);
-        m.free_bits(fetched);
-        m.free_bits(reduced);
-        m.free_bits(packed);
-        m.free(counts);
-        m.free(flags);
-        reductions
-    }
-
-    #[test]
-    fn ghost_replay_charges_identically() {
-        let mut real = Machine::new(
-            MachineConfig {
-                phys_pes: 4,
-                ..Default::default()
-            },
-            10,
-        );
-        let reductions = stats_program(&mut real);
-
-        let mut ghost = Machine::new_ghost(
-            MachineConfig {
-                phys_pes: 4,
-                ..Default::default()
-            },
-            10,
-        );
-        assert!(ghost.is_ghost());
-        ghost.push_ghost_reductions(&reductions);
-        let replayed = stats_program(&mut ghost);
-
-        assert_eq!(real.stats, ghost.stats);
-        assert_eq!(real.op_count(), ghost.op_count());
-        assert_eq!(replayed, reductions, "queued reductions replay in order");
-        assert!(ghost.leftover_ghost_reductions().is_empty());
-        assert_eq!(real.estimated_seconds(), ghost.estimated_seconds());
     }
 }

@@ -37,7 +37,7 @@ use maspar_sim::{FaultPlan, Machine, MachineConfig, MachineStats, Plural, Plural
 /// Conservative peak working set per virtual-PE layer, bytes (all plurals
 /// the driver ever holds at once). Used to reject programs that would
 /// overflow the 16 KB PE memory with a typed error instead of a panic.
-pub(crate) const WORKING_SET_BYTES: usize = 96;
+const WORKING_SET_BYTES: usize = 96;
 
 /// Options for a MasPar parse.
 #[derive(Debug, Clone)]
@@ -471,9 +471,8 @@ pub fn parse_maspar_checked(
 
 /// The typed pre-flight checks every MasPar parse runs before touching a
 /// machine: layout construction (rejecting lexically ambiguous input),
-/// the arc-cell budget, and the PE-memory working set. Shared with the
-/// mega-batch driver so per-sentence and batched runs reject identically.
-pub(crate) fn precheck(
+/// the arc-cell budget, and the PE-memory working set.
+fn precheck(
     grammar: &Grammar,
     sentence: &Sentence,
     opts: &MasparOptions,
@@ -506,7 +505,7 @@ pub(crate) fn precheck(
 /// The engine body, generic over the boolean-plural representation `B`
 /// (packed bit-sliced or unpacked oracle). Everything from data layout to
 /// readback; both instantiations issue identical broadcast instructions.
-pub(crate) fn drive<B: BoolRepr>(
+fn drive<B: BoolRepr>(
     mut machine: Machine,
     lay: Layout,
     grammar: &Grammar,
@@ -864,7 +863,7 @@ fn restore(machine: &mut Machine, p: &mut Plural<u64>, golden: &[u64]) {
 /// instructions in both implementations — the differential suite
 /// (`tests/packed_equivalence.rs`) holds the two to bit-identical
 /// outcomes, typed errors and [`MachineStats`].
-pub(crate) trait BoolRepr: Sized {
+trait BoolRepr: Sized {
     /// Allocate and write a host-verified boolean plural (the boolean
     /// counterpart of [`init_exact`]): one alloc + one broadcast when
     /// fault-free, re-issued until the readback matches otherwise.
@@ -1095,16 +1094,6 @@ impl BoolRepr for PluralBits {
         // evaluate it once per group on the host and broadcast keep masks
         // — the PEs apply two ANDs instead of re-evaluating the constraint
         // l times each. Same three broadcasts, bit-identical results.
-        //
-        // A ghost machine skips every plural callback, so the broadcast
-        // values are never read: skip the (real) host-side constraint
-        // evaluation too and issue the broadcasts with empty tables. The
-        // charge stream is identical either way.
-        if machine.is_ghost() {
-            machine.with_activity_bits(valid, |m| m.par_map(bits, |_, _| {}));
-            machine.par_map(alive, |_, _| {});
-            return;
-        }
         let viol: Vec<u64> = (0..lay.groups)
             .map(|g| {
                 let mut v = 0u64;
@@ -1195,12 +1184,7 @@ fn apply_binary<B: BoolRepr>(
 /// Zero every submatrix column/row belonging to a dead role value: two
 /// router gathers fetch the column's and row's alive masks from the
 /// boundary PEs, then one broadcast instruction applies them.
-///
-/// The closures depend only on `lay.l` and `lay.bit` — grammar-level
-/// geometry shared by every sentence of a batch — so the mega-batch
-/// driver reuses this over its joined plurals (the index plurals already
-/// carry the per-sentence base offsets).
-pub(crate) fn mask_dead<B: BoolRepr>(
+fn mask_dead<B: BoolRepr>(
     machine: &mut Machine,
     lay: &Layout,
     valid: &B,

@@ -45,7 +45,6 @@
 pub mod api;
 pub mod engine;
 pub mod layout;
-pub mod mega;
 pub mod retry;
 
 pub use api::Maspar;
@@ -53,7 +52,6 @@ pub use engine::{
     parse_maspar, parse_maspar_checked, MasparOptions, MasparOutcome, PhaseStats, RecoveryReport,
 };
 pub use layout::Layout;
-pub use mega::{mega_fallback_reason, parse_maspar_mega};
 pub use retry::{
     faults_for_attempt, parse_with_retry, parse_with_retry_warm, request_key, RetryPolicy,
     RetryStats,

@@ -68,7 +68,9 @@ pub struct ServeConfig {
     /// always run on the maspar engine — it is the only one with a fault
     /// model.
     pub engine: String,
-    /// Worker threads servicing the queue.
+    /// Worker threads servicing the queue. Each pops one job at a time
+    /// and parses it against the shared compiled-grammar artifact with
+    /// its own warm scratch, which it keeps across requests.
     pub workers: usize,
     /// Queue capacity; a full queue sheds with `reason=queue_full`.
     pub queue_capacity: usize,
@@ -86,13 +88,6 @@ pub struct ServeConfig {
     /// Artificial per-request service time, for overload tests and the
     /// bench scenario (zero in production).
     pub service_delay: Duration,
-    /// Opportunistic mega-batching: a worker that pops a parse job also
-    /// takes up to this many *compatible* jobs queued right behind it
-    /// (same engine, no budget, no faults) and services them as one
-    /// flattened [`cdg_core::BatchStrategy::Mega`] batch. `0` or `1`
-    /// disables coalescing. Responses are identical to the per-request
-    /// path — coalescing changes throughput, never answers.
-    pub coalesce: usize,
     /// Machine shape for the maspar engine (tests shrink it so fault plans
     /// can kill the whole array).
     pub machine: MachineConfig,
@@ -129,7 +124,6 @@ impl Default for ServeConfig {
             drain_deadline: Duration::from_secs(2),
             max_connections: 64,
             service_delay: Duration::ZERO,
-            coalesce: 8,
             machine: MachineConfig::default(),
             retry: RetryPolicy::default(),
             shards: 1,

@@ -94,60 +94,6 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Like [`Self::pop`], but after blocking for the first item it also
-    /// takes — without blocking — up to `max - 1` items queued directly
-    /// behind it for which `coalesce(&first, &next)` holds, stopping at
-    /// the first incompatible item so FIFO order is preserved. The worker
-    /// pool uses this to fuse bursts of compatible parse requests into
-    /// one mega-batch; `None` still means closed-and-empty.
-    pub fn pop_group(&self, max: usize, coalesce: impl Fn(&T, &T) -> bool) -> Option<Vec<T>> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(first) = st.items.pop_front() {
-                let mut group = vec![first];
-                while group.len() < max.max(1) {
-                    match st.items.front() {
-                        Some(next) if coalesce(&group[0], next) => {
-                            let next = st.items.pop_front().expect("front exists");
-                            group.push(next);
-                        }
-                        _ => break,
-                    }
-                }
-                return Some(group);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.available.wait(st).unwrap();
-        }
-    }
-
-    /// After obtaining `first` elsewhere (a timed pop or a steal), take —
-    /// without blocking — up to `max - 1` items from the front of this
-    /// queue for which `coalesce(first, &next)` holds, stopping at the
-    /// first incompatible item. The fleet worker's counterpart of
-    /// [`Self::pop_group`].
-    pub fn take_matching(
-        &self,
-        first: &T,
-        max: usize,
-        coalesce: impl Fn(&T, &T) -> bool,
-    ) -> Vec<T> {
-        let mut st = self.state.lock().unwrap();
-        let mut out = Vec::new();
-        while out.len() + 1 < max.max(1) {
-            match st.items.front() {
-                Some(next) if coalesce(first, next) => {
-                    let next = st.items.pop_front().expect("front exists");
-                    out.push(next);
-                }
-                _ => break,
-            }
-        }
-        out
-    }
-
     /// Non-blocking pop: the work-stealing primitive. `None` means empty
     /// *or* closed — a stealer probing a sibling queue cannot tell and
     /// does not need to.
@@ -237,22 +183,6 @@ mod tests {
         let q2 = Arc::clone(&q);
         let t = thread::spawn(move || q2.pop());
         assert_eq!(t.join().unwrap(), None);
-    }
-
-    #[test]
-    fn pop_group_fuses_compatible_runs_and_stops_at_the_first_mismatch() {
-        let q = Bounded::new(8);
-        for v in [2, 4, 6, 7, 8] {
-            q.try_push(v).unwrap();
-        }
-        // Evens coalesce with evens; 7 breaks the run and stays queued.
-        let even = |a: &i32, b: &i32| a % 2 == 0 && b % 2 == 0;
-        assert_eq!(q.pop_group(10, even), Some(vec![2, 4, 6]));
-        assert_eq!(q.pop_group(10, even), Some(vec![7]));
-        // The cap bounds the group even when everything matches.
-        assert_eq!(q.pop_group(1, even), Some(vec![8]));
-        q.close();
-        assert_eq!(q.pop_group(10, even), None);
     }
 
     #[test]

@@ -783,26 +783,6 @@ fn handle_parse(shared: &Arc<Shared>, text: String, config: EngineConfig) -> Str
     shard_down_line(stats, home, job.class)
 }
 
-/// May these two queued jobs be serviced as one mega-batch? Coalescing is
-/// restricted to jobs whose answers cannot depend on batching: no budget
-/// (a wall-time budget is accounted per request), no fault plan (fault
-/// horizons are per-request instruction counts), no transient window, and
-/// identical engine/parse-cap/filter/eval/packed settings. Class may
-/// differ — it only shapes admission and the response's `class=` field,
-/// both of which stay per-job.
-fn coalescable(a: &Job, b: &Job) -> bool {
-    let plain = |j: &Job| {
-        j.config.budget_spec.is_empty() && j.config.faults.is_none() && j.config.transient.is_none()
-    };
-    plain(a)
-        && plain(b)
-        && a.engine_name == b.engine_name
-        && a.config.max_parses == b.config.max_parses
-        && a.config.filter == b.config.filter
-        && a.config.eval == b.config.eval
-        && a.config.packed == b.config.packed
-}
-
 /// Per-worker engine cache: each worker thread owns its engine instances
 /// (per-shard engine ownership in fleet mode), so the simulated machines
 /// are truly independent and nothing engine-side is shared across shards.
@@ -828,7 +808,7 @@ impl EngineSet {
 }
 
 /// Classic single-queue worker (`shards == 1`): blocking pops on shard
-/// 0's queue, with opportunistic coalescing.
+/// 0's queue, one job at a time.
 fn single_shard_worker(shared: &Arc<Shared>) {
     let shard = &shared.shards[0];
     let mut engines = EngineSet::new(shared.config.machine.clone());
@@ -838,22 +818,14 @@ fn single_shard_worker(shared: &Arc<Shared>) {
     let artifact = resolve_artifact(&shared.grammar, &shared.stats);
     debug_assert!(Arc::ptr_eq(&artifact, &shared.compiled));
     let mut warm = WarmState::new();
-    let max_group = shared.config.coalesce.max(1);
-    loop {
-        let jobs = if max_group > 1 {
-            shard.queue.pop_group(max_group, coalescable)
-        } else {
-            shard.queue.pop().map(|job| vec![job])
-        };
-        let Some(jobs) = jobs else { break };
-        run_jobs(shared, shard, &mut engines, &mut warm, jobs);
+    while let Some(job) = shard.queue.pop() {
+        run_job(shared, shard, &mut engines, &mut warm, job);
     }
 }
 
 /// Fleet worker: owns shard `id`. Pops its own queue with a short
-/// timeout, steals from band siblings when idle, coalesces compatible
-/// neighbours from its own queue, and executes its deterministic death
-/// when the shard-fault plan says so.
+/// timeout, steals from band siblings when idle, and executes its
+/// deterministic death when the shard-fault plan says so.
 fn fleet_worker(shared: &Arc<Shared>, id: usize) {
     let my = &shared.shards[id];
     let band = shared.plan.band_of_shard(id);
@@ -871,7 +843,6 @@ fn fleet_worker(shared: &Arc<Shared>, id: usize) {
     debug_assert!(Arc::ptr_eq(&artifact, &shared.compiled));
     obsv::counter_add(my.series.compile_hits, 1);
     let mut warm = WarmState::new();
-    let max_group = shared.config.coalesce.max(1);
     loop {
         // Deterministic shard death: after the fault plan's request count,
         // mark dead, drain the queue to live siblings, and exit.
@@ -882,19 +853,12 @@ fn fleet_worker(shared: &Arc<Shared>, id: usize) {
             }
         }
         let (job, closed) = my.queue.pop_timeout(STEAL_TICK);
-        let jobs = match job {
-            Some(first) => {
-                let mut group = vec![first];
-                if max_group > 1 {
-                    group.extend(my.queue.take_matching(&group[0], max_group, coalescable));
-                }
-                group
-            }
+        let job = match job {
+            Some(job) => job,
             None if closed => break,
             None => {
                 // Own queue idle: steal one job from the deepest band
-                // sibling. One at a time — stealing a burst would defeat
-                // the sibling's own coalescing.
+                // sibling.
                 let victim = siblings
                     .iter()
                     .filter(|s| s.is_alive())
@@ -903,13 +867,13 @@ fn fleet_worker(shared: &Arc<Shared>, id: usize) {
                     Some(job) => {
                         my.steals.fetch_add(1, Ordering::Relaxed);
                         obsv::counter_add(my.series.steals, 1);
-                        vec![job]
+                        job
                     }
                     None => continue,
                 }
             }
         };
-        run_jobs(shared, my, &mut engines, &mut warm, jobs);
+        run_job(shared, my, &mut engines, &mut warm, job);
     }
 }
 
@@ -943,133 +907,28 @@ fn kill_shard(shared: &Shared, my: &Shard, siblings: &[&Shard]) {
     }
 }
 
-/// Service a group of jobs (singleton or coalesced) on this shard,
-/// keeping the in-flight gauge and the shard's serviced clock.
-fn run_jobs(
+/// Service one job on this shard, keeping the in-flight gauge and the
+/// shard's serviced clock.
+fn run_job(
     shared: &Shared,
     shard: &Shard,
     engines: &mut EngineSet,
     warm: &mut WarmState,
-    jobs: Vec<Job>,
+    job: Job,
 ) {
-    let taken = jobs.len();
-    let inflight = shared.inflight.fetch_add(taken, Ordering::SeqCst) + taken;
+    let inflight = shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
     obsv::gauge_max("serve.inflight_peak", inflight as f64);
-    // Account the group as serviced before any reply is released: a client
+    // Account the job as serviced before the reply is released: a client
     // that has read its response must also find it on the shard ledger
     // (replying first raced observers that snapshot fleet stats right after
     // the roundtrip).
-    shard.serviced.fetch_add(taken as u64, Ordering::Relaxed);
-    obsv::counter_add(shard.series.requests, taken as u64);
-    if taken == 1 {
-        let job = &jobs[0];
-        let response = service_job(shared, shard, engines, warm, job);
-        // The connection may have hung up; the response is still fully
-        // accounted either way.
-        let _ = job.reply.send(response);
-    } else {
-        obsv::counter_add("serve.coalesced", taken as u64);
-        service_group(shared, shard, engines, warm, jobs);
-    }
-    shared.inflight.fetch_sub(taken, Ordering::SeqCst);
-}
-
-/// Service a coalesced group as one flattened mega-batch. Per-job concerns
-/// stay per-job: deadlines are checked first (a coalesced neighbour never
-/// turns a live request into a timeout victim — the whole group was
-/// dequeued at once), lexicon errors answer individually, and any outcome
-/// the mega sweep reports as degraded is replayed on the per-request path
-/// so its typed response is byte-compatible with the uncoalesced server.
-fn service_group(
-    shared: &Shared,
-    shard: &Shard,
-    engines: &mut EngineSet,
-    warm: &mut WarmState,
-    jobs: Vec<Job>,
-) {
-    let stats = &shared.stats;
-    let start = Instant::now();
-    if !shared.config.service_delay.is_zero() {
-        thread::sleep(shared.config.service_delay);
-    }
-    let mut batch: Vec<(Job, cdg_grammar::Sentence)> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        if start > job.deadline {
-            stats.bump(&stats.timeouts, "serve.timeout");
-            let _ = job.reply.send(render_fields(
-                "TIMEOUT",
-                &[
-                    ("class", job.class.name().to_string()),
-                    ("waited_ms", (start - job.enqueued).as_millis().to_string()),
-                ],
-            ));
-            continue;
-        }
-        match shared.lexicon.sentence(&job.text) {
-            Ok(s) => batch.push((job, s)),
-            Err(e) => {
-                stats.bump(&stats.errors, "serve.errors");
-                let _ = job
-                    .reply
-                    .send(render_fields("ERR", &[cause_field(&EngineError::from(e))]));
-            }
-        }
-    }
-    let Some((first, _)) = batch.first() else {
-        return;
-    };
-    let sentences: Vec<cdg_grammar::Sentence> = batch.iter().map(|(_, s)| s.clone()).collect();
-    // Coalescable jobs agree on every answer-shaping config key (checked
-    // in `coalescable`), so the group request carries the first job's
-    // config wholesale, forced onto the mega strategy.
-    let request = ParseRequest::with_config(&shared.grammar, &first.config)
-        .batch_strategy(cdg_core::BatchStrategy::Mega)
-        .compiled(Arc::clone(&shared.compiled));
-    let engine_name = first.engine_name.clone();
-    let report = match engines.get(&engine_name).parse_batch(&sentences, &request) {
-        Ok(report) => report,
-        Err(_) => {
-            // A whole-batch refusal (no coalescable engine should produce
-            // one) falls back to the per-request path: every job still
-            // gets its one typed response.
-            for (job, _) in &batch {
-                let response = service_job(shared, shard, engines, warm, job);
-                let _ = job.reply.send(response);
-            }
-            return;
-        }
-    };
-    for ((job, _), outcome) in batch.iter().zip(&report.outcomes) {
-        if outcome.degraded {
-            // Coalesced jobs carry no budget, so degradation means the
-            // engine rejected the sentence itself (e.g. a layout the
-            // simulated array cannot take). Replay individually for the
-            // exact typed error.
-            let response = service_job(shared, shard, engines, warm, job);
-            let _ = job.reply.send(response);
-            continue;
-        }
-        stats.bump(&stats.ok, "serve.ok");
-        let core = render_fields(
-            "OK",
-            &[
-                ("accepted", outcome.accepted.to_string()),
-                ("ambiguous", outcome.ambiguous.to_string()),
-                ("parses", outcome.parses.len().to_string()),
-                ("passes", outcome.filter_passes.to_string()),
-                ("engine", job.engine_name.clone()),
-                ("class", job.class.name().to_string()),
-            ],
-        );
-        if let Some(d) = job.digest {
-            stats.bump(&stats.cache_misses, "serve.cache.misses");
-            shared.cache.lock().unwrap().insert(d, core.clone());
-        }
-        let _ = job.reply.send(format!(
-            "{core} cached=false retries=0 wall_us={}",
-            start.elapsed().as_micros()
-        ));
-    }
+    shard.serviced.fetch_add(1, Ordering::Relaxed);
+    obsv::counter_add(shard.series.requests, 1);
+    let response = service_job(shared, shard, engines, warm, &job);
+    // The connection may have hung up; the response is still fully
+    // accounted either way.
+    let _ = job.reply.send(response);
+    shared.inflight.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Run one admitted job to a response line. Deadline first: parsing for a

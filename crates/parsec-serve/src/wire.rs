@@ -171,7 +171,7 @@ pub fn decode_cause(value: &str) -> Result<EngineError, String> {
 mod tests {
     use super::*;
     use cdg_core::error::BudgetResource;
-    use cdg_core::{BatchStrategy, EvalStrategy, FilterStrategy, ParseBudget, SloClass};
+    use cdg_core::{EvalStrategy, FilterStrategy, ParseBudget, SloClass};
     use std::time::Duration;
 
     #[test]
@@ -198,7 +198,7 @@ mod tests {
     fn full_option_set_parses() {
         let line =
             "PARSE budget=ms=50,iters=3 class=batch faults=7 transient=1 parses=2 engine=maspar \
-             filter=bmm eval=naive batch=mega packed=false -- the program runs";
+             filter=bmm eval=naive packed=false -- the program runs";
         match parse_request(line, 16).unwrap() {
             Request::Parse { text, config } => {
                 assert_eq!(text, "the program runs");
@@ -212,7 +212,6 @@ mod tests {
                 assert_eq!(config.engine.as_deref(), Some("maspar"));
                 assert_eq!(config.filter, FilterStrategy::Bmm);
                 assert_eq!(config.eval, EvalStrategy::Naive);
-                assert_eq!(config.batch, BatchStrategy::Mega);
                 assert!(!config.packed);
             }
             other => panic!("{other:?}"),
@@ -254,6 +253,15 @@ mod tests {
         assert_eq!(status, "ERR");
         assert!(fields.contains(&("cause".into(), "unknown-key".into())));
         assert!(fields.contains(&("key".into(), "hats".into())));
+        // `batch=` is not a key: it gets the typed shape, not silence.
+        let err = parse_request("PARSE batch=mega -- x", 16).unwrap_err();
+        assert_eq!(
+            err,
+            WireError::UnknownKey {
+                key: "batch".into()
+            }
+        );
+        assert_eq!(err.render(), "ERR cause=unknown-key key=batch");
         // Malformed values stay on the untyped proto= shape.
         let err = parse_request("FROB", 16).unwrap_err();
         assert!(matches!(err, WireError::Malformed(_)));

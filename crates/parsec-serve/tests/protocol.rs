@@ -134,13 +134,17 @@ fn lexicon_and_protocol_errors_are_typed() {
     assert_eq!(status, "ERR");
     assert_eq!(field(&fields, "cause"), "unknown-key");
     assert_eq!(field(&fields, "key"), "retries");
+    let (status, fields) = client.roundtrip("PARSE batch=mega -- the dog runs");
+    assert_eq!(status, "ERR");
+    assert_eq!(field(&fields, "cause"), "unknown-key");
+    assert_eq!(field(&fields, "key"), "batch");
 
     let stats = handle.shutdown();
     // Engine-level errors (unknown word, unknown engine) are admitted
     // requests; malformed lines (bad verb, parses=0, unknown keys) never
     // became one.
     assert_eq!(stats.errors, 2);
-    assert_eq!(stats.proto_errors, 3);
+    assert_eq!(stats.proto_errors, 4);
     assert_eq!(stats.requests, 2);
     assert_eq!(stats.parse_responses(), stats.requests);
 }
@@ -173,14 +177,12 @@ fn empty_sentence_is_a_typed_lexicon_error_not_a_proto_error() {
 }
 
 #[test]
-fn coalesced_bursts_answer_every_request_identically() {
+fn queued_bursts_answer_every_request_identically() {
     // One slow worker + a concurrent burst: the worker's first pop leaves
-    // the rest of the burst queued, so the next pop_group fuses them into
-    // one mega-batch. Every request must still get its own correct,
-    // fully-accounted response.
+    // the rest of the burst queued behind it. Every request must still get
+    // its own correct, fully-accounted response.
     let handle = Server::start(ServeConfig {
         workers: 1,
-        coalesce: 8,
         cache_capacity: 0,
         service_delay: Duration::from_millis(25),
         ..english_config()

@@ -4,7 +4,10 @@
 //! identical between batched and per-sentence parsing — for every engine,
 //! over the 64 differential seeds the fault-injection suite established.
 
+mod common;
+
 use bitmat::BitVec;
+use cdg_core::api::ParseRequest;
 use cdg_core::parser::{parse, parse_with_pool, FilterMode, ParseOptions};
 use cdg_core::{ArcPool, PrecedenceGraph};
 use cdg_grammar::{Grammar, Sentence};
@@ -118,6 +121,18 @@ fn batch_parsing_byte_identical_across_thread_counts_and_vs_sequential() {
         );
     }
     rayon::set_num_threads(0);
+
+    // Through the Engine trait, on every engine: the seeded batch above
+    // plus a mid-batch lexically ambiguous sentence, which the MasPar
+    // layout refuses. The paper, fault-plan and empty batches are in
+    // `tests/megabatch_equivalence.rs`.
+    let mut seeded = sentences.clone();
+    seeded.insert(1, lex.sentence("the watch runs").unwrap());
+    for name in ["serial", "pram", "maspar"] {
+        let engine = parsec::engine_by_name(name).unwrap();
+        let req = ParseRequest::new(&g).max_parses(16);
+        common::assert_batch_matches_solo(name, engine.as_ref(), &seeded, &req);
+    }
 }
 
 proptest! {
