@@ -60,13 +60,14 @@ pub fn serial_cdg(grammar: &Grammar, sentence: &Sentence) -> Measurement {
     }
 }
 
-/// Sequential CDG with the naive tree-walk evaluator — the differential
-/// oracle for the kernel engine. Same pipeline, same results; only the
-/// constraint-evaluation machinery differs, so the wall-clock gap between
-/// this row and `cdg-serial` is the kernel speedup.
+/// Sequential CDG with the naive tree-walk evaluator and the full-rescan
+/// filter — the all-oracle pipeline the kernel engine and BMM filter are
+/// checked against. Same results; only the evaluation and filtering
+/// machinery differ.
 pub fn serial_cdg_naive(grammar: &Grammar, sentence: &Sentence) -> Measurement {
     let options = ParseOptions {
         eval: EvalStrategy::Naive,
+        filter_strategy: FilterStrategy::Naive,
         ..comparable_options()
     };
     let (outcome, wall) = timed(|| cdg_core::parse(grammar, sentence, options));

@@ -156,7 +156,7 @@ impl Default for EngineConfig {
             faults_spec: None,
             transient: None,
             max_parses: DEFAULT_MAX_PARSES,
-            filter: FilterStrategy::Auto,
+            filter: FilterStrategy::Bmm,
             eval: EvalStrategy::Kernel,
             threads: None,
             packed: true,
@@ -297,12 +297,12 @@ pub static KEYS: &[KeyDef] = &[
     },
     KeyDef {
         key: "filter",
-        help: "auto | naive | incremental | bmm",
+        help: "bmm | naive | incremental",
         apply: |b, v| {
             b.filter = Some(FilterStrategy::parse(v).map_err(|e| invalid("filter", e))?);
             Ok(())
         },
-        encode: |c| (c.filter != FilterStrategy::Auto).then(|| c.filter.name().to_string()),
+        encode: |c| (c.filter != FilterStrategy::Bmm).then(|| c.filter.name().to_string()),
     },
     KeyDef {
         key: "eval",
@@ -474,7 +474,7 @@ impl EngineConfigBuilder {
             faults_spec: self.faults_spec,
             transient: self.transient,
             max_parses,
-            filter: self.filter.unwrap_or(FilterStrategy::Auto),
+            filter: self.filter.unwrap_or(FilterStrategy::Bmm),
             eval: self.eval.unwrap_or(EvalStrategy::Kernel),
             threads: self.threads,
             packed: self.packed.unwrap_or(true),
@@ -496,7 +496,7 @@ mod tests {
     #[test]
     fn every_key_round_trips_through_the_table() {
         let spec = "engine=maspar budget=ms=50,iters=3 class=interactive faults=42 \
-                    transient=2 parses=9 filter=bmm eval=naive threads=4 \
+                    transient=2 parses=9 filter=incremental eval=naive threads=4 \
                     packed=false";
         let c = EngineConfig::parse(spec).unwrap();
         assert_eq!(c.engine.as_deref(), Some("maspar"));
@@ -505,7 +505,7 @@ mod tests {
         assert!(c.faults.is_some());
         assert_eq!(c.transient, Some(2));
         assert_eq!(c.max_parses, 9);
-        assert_eq!(c.filter, FilterStrategy::Bmm);
+        assert_eq!(c.filter, FilterStrategy::Incremental);
         assert_eq!(c.eval, EvalStrategy::Naive);
         assert_eq!(c.threads, Some(4));
         assert!(!c.packed);
@@ -529,6 +529,11 @@ mod tests {
         assert!(matches!(
             b.set("budget", "fuel=9"),
             Err(ConfigError::InvalidValue { key: "budget", .. })
+        ));
+        // `auto` is not a strategy: a bad value of a known key.
+        assert!(matches!(
+            b.set("filter", "auto"),
+            Err(ConfigError::InvalidValue { key: "filter", .. })
         ));
         assert!(matches!(
             b.set("parses", "lots"),

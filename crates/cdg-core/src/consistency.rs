@@ -489,15 +489,19 @@ pub struct BmmScratch {
     rows: Vec<(u32, u32)>,
     cols: Vec<u32>,
     touched: Vec<u32>,
-    /// Retired support-counter buffers, largest-capacity last.
+    /// Retired support-counter buffers.
     count_bufs: Vec<Vec<u32>>,
+    /// Capacity of `count_bufs`, in bytes (at most [`BMM_BAG_BYTES`]).
+    bag_bytes: usize,
     /// Counter buffers adopted from the bag instead of freshly allocated.
     reuses: u64,
 }
 
-/// Keep at most this many retired counter buffers (one per slot of a
-/// recent parse; short serve sentences need only a handful).
-const BMM_BAG_CAP: usize = 64;
+/// Retain at most this many bytes of retired counter buffers. A short
+/// serve sentence's counters fit whole; a long parse keeps only a few of
+/// its buffers, so the bag never pins a large parse's counters while the
+/// next parse builds its arc matrices.
+const BMM_BAG_BYTES: usize = 64 << 10;
 
 impl BmmScratch {
     /// How many buffer adoptions were served from the bag so far.
@@ -510,6 +514,7 @@ impl BmmScratch {
         match self.count_bufs.pop() {
             Some(mut buf) => {
                 self.reuses += 1;
+                self.bag_bytes -= buf_bytes(&buf);
                 buf.clear();
                 buf.resize(len, 0);
                 buf
@@ -517,6 +522,11 @@ impl BmmScratch {
             None => vec![0u32; len],
         }
     }
+}
+
+/// Heap bytes a counter buffer holds (its capacity, not its length).
+fn buf_bytes(buf: &Vec<u32>) -> usize {
+    buf.capacity() * std::mem::size_of::<u32>()
 }
 
 impl BmmFilter {
@@ -608,10 +618,11 @@ impl BmmFilter {
         scratch.cols = self.scratch_cols;
         scratch.touched = self.scratch_touched;
         for buf in self.counts {
-            if scratch.count_bufs.len() >= BMM_BAG_CAP {
-                break;
+            let bytes = buf_bytes(&buf);
+            if scratch.bag_bytes + bytes <= BMM_BAG_BYTES {
+                scratch.bag_bytes += bytes;
+                scratch.count_bufs.push(buf);
             }
-            scratch.count_bufs.push(buf);
         }
     }
 

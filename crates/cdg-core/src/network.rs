@@ -34,13 +34,12 @@ pub enum EvalStrategy {
 /// `cdg_core::consistency`); they differ in how support is recomputed —
 /// and therefore in wall-clock and in the incremental-vs-full-scan split
 /// of `support_checks`/`support_inits`.
+///
+/// [`FilterStrategy::Bmm`] is the production filter on every engine;
+/// `Naive` and `Incremental` are differential oracles, run only when a
+/// caller asks for them by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FilterStrategy {
-    /// Preserve the historical coupling: kernel evaluation filters
-    /// incrementally, naive evaluation rescans — exactly the pre-strategy
-    /// behavior, so existing digests and baselines are unchanged.
-    #[default]
-    Auto,
     /// Full rescan every pass ([`crate::consistency::filter`]).
     Naive,
     /// AC-4 support counters ([`crate::consistency::IncrementalFilter`]).
@@ -50,40 +49,35 @@ pub enum FilterStrategy {
     /// semantics, recomputed with 64×64 tile kernels. Stats-identical to
     /// [`FilterStrategy::Incremental`] except for the purely
     /// observational `bmm_tiles`/`bmm_words` counters.
+    #[default]
     Bmm,
 }
 
 impl FilterStrategy {
-    /// Resolve `Auto` against the evaluation strategy in force.
-    pub fn resolve(self, eval: EvalStrategy) -> FilterStrategy {
-        match self {
-            FilterStrategy::Auto => match eval {
-                EvalStrategy::Kernel => FilterStrategy::Incremental,
-                EvalStrategy::Naive => FilterStrategy::Naive,
-            },
-            other => other,
-        }
+    /// The strategy to run under `eval`: always `self`, since no variant
+    /// depends on the evaluator. `perfbench` still calls it; it goes with
+    /// the next change to the benchmark.
+    pub fn resolve(self, _eval: EvalStrategy) -> FilterStrategy {
+        self
     }
 
     /// The CLI/wire name ([`FilterStrategy::parse`]'s inverse).
     pub fn name(self) -> &'static str {
         match self {
-            FilterStrategy::Auto => "auto",
             FilterStrategy::Naive => "naive",
             FilterStrategy::Incremental => "incremental",
             FilterStrategy::Bmm => "bmm",
         }
     }
 
-    /// Parse a CLI/wire name (`auto`, `naive`, `incremental`, `bmm`).
+    /// Parse a CLI/wire name (`naive`, `incremental`, `bmm`).
     pub fn parse(name: &str) -> Result<Self, String> {
         match name {
-            "auto" => Ok(FilterStrategy::Auto),
             "naive" => Ok(FilterStrategy::Naive),
             "incremental" => Ok(FilterStrategy::Incremental),
             "bmm" => Ok(FilterStrategy::Bmm),
             other => Err(format!(
-                "unknown filter strategy `{other}` (expected auto, naive, incremental or bmm)"
+                "unknown filter strategy `{other}` (expected naive, incremental or bmm)"
             )),
         }
     }

@@ -39,9 +39,9 @@ pub struct ParseOptions {
     /// Constraint evaluator: the kernel engine (default) or the naive
     /// tree-walk oracle. Outcomes are bit-identical; only the work differs.
     pub eval: EvalStrategy,
-    /// Filtering implementation: full-scan, AC-4 incremental, or blocked
-    /// BMM. All produce bit-identical removal schedules and networks; the
-    /// default `Auto` preserves the historical eval-coupled choice.
+    /// Filtering implementation: blocked BMM (the default), or the
+    /// full-scan and AC-4 incremental oracles. All produce bit-identical
+    /// removal schedules and networks.
     pub filter_strategy: FilterStrategy,
 }
 
@@ -115,8 +115,7 @@ impl<'g> ParseOutcome<'g> {
         // counter-based paths rebuild support once instead of rescanning
         // every pass.
         let _filtering = obsv::span("filtering");
-        let strategy = self.network.filter_strategy.resolve(self.network.eval);
-        let step = match strategy {
+        let step = match self.network.filter_strategy {
             FilterStrategy::Incremental if self.network.arcs_ready() => {
                 filter_incremental(&mut self.network, usize::MAX)
             }
@@ -271,7 +270,6 @@ pub fn parse_with_state<'g>(
     // The counter-based strategies (incremental, BMM) build support state
     // once, each generation touching only disturbed rows. Built lazily so
     // a FilterMode::None run pays nothing.
-    let strategy = options.filter_strategy.resolve(options.eval);
     let mut incremental: Option<IncrementalFilter> = None;
     let mut bmm: Option<BmmFilter> = None;
     while net.arcs_ready() && passes < mode_max {
@@ -293,7 +291,7 @@ pub fn parse_with_state<'g>(
         } else {
             break;
         }
-        let step = match strategy {
+        let step = match options.filter_strategy {
             FilterStrategy::Incremental => {
                 let inc = incremental.get_or_insert_with(|| IncrementalFilter::build(&mut net));
                 inc.pass(&mut net).map(|(_, fx)| (1, fx))
@@ -302,7 +300,7 @@ pub fn parse_with_state<'g>(
                 let f = bmm.get_or_insert_with(|| BmmFilter::build_warm(&mut net, bmm_scratch));
                 f.pass(&mut net).map(|(_, fx)| (1, fx))
             }
-            _ => {
+            FilterStrategy::Naive => {
                 let (_, p, fx) = filter(&mut net, 1);
                 Ok((p, fx))
             }

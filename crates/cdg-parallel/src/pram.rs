@@ -68,12 +68,7 @@ impl<'g> PramOutcome<'g> {
                 }
             }
         }
-        loop {
-            self.filter_passes += 1;
-            if maintain_par(&mut self.network, &mut self.stats) == 0 {
-                break;
-            }
-        }
+        self.filter_passes += filter_par(&mut self.network, &mut self.stats, usize::MAX);
         self.roles_nonempty = self.network.all_roles_nonempty();
     }
 }
@@ -486,6 +481,35 @@ impl BmmFilterPar {
     }
 }
 
+/// Filter for at most `max_passes` generations under the network's
+/// strategy, stopping after the first pass that removes nothing. The
+/// production BMM strategy runs [`BmmFilterPar`]; the oracle strategies
+/// keep the per-pass [`maintain_par`] support scan. Generations (and hence
+/// pass counts, alive sets, and matrices) are identical either way.
+/// Returns the passes run.
+fn filter_par(net: &mut Network<'_>, stats: &mut PramStats, max_passes: usize) -> usize {
+    let mut passes = 0;
+    if net.filter_strategy == FilterStrategy::Bmm {
+        if max_passes > 0 {
+            let mut f = BmmFilterPar::build(net, stats);
+            while passes < max_passes {
+                passes += 1;
+                if f.pass(net, stats) == 0 {
+                    break;
+                }
+            }
+        }
+    } else {
+        while passes < max_passes {
+            passes += 1;
+            if maintain_par(net, stats) == 0 {
+                break;
+            }
+        }
+    }
+    passes
+}
+
 /// The full parallel pipeline, mirroring `cdg_core::parse` phase for phase.
 ///
 /// ```
@@ -556,34 +580,13 @@ pub fn parse_pram_compiled<'g>(
             }
         }
     }
-    let mut passes = 0;
     let _filtering = obsv::span("filtering");
     let mode_max = match options.filter {
         FilterMode::None => 0,
         FilterMode::Bounded(max) => max,
         FilterMode::Fixpoint => usize::MAX,
     };
-    // The BMM strategy swaps the per-pass support scan for the arc-parallel
-    // tile filter; generations (and hence pass counts, alive sets, and
-    // matrices) are identical to `maintain_par`'s removal rounds.
-    if options.filter_strategy.resolve(options.eval) == FilterStrategy::Bmm {
-        if mode_max > 0 {
-            let mut f = BmmFilterPar::build(&mut net, &mut stats);
-            while passes < mode_max {
-                passes += 1;
-                if f.pass(&mut net, &mut stats) == 0 {
-                    break;
-                }
-            }
-        }
-    } else {
-        while passes < mode_max {
-            passes += 1;
-            if maintain_par(&mut net, &mut stats) == 0 {
-                break;
-            }
-        }
-    }
+    let passes = filter_par(&mut net, &mut stats, mode_max);
     drop(_filtering);
     PramOutcome {
         roles_nonempty: net.all_roles_nonempty(),
@@ -701,9 +704,10 @@ mod tests {
     }
 
     #[test]
-    fn bmm_strategy_matches_default_filtering() {
-        // Arc-parallel BMM filtering must be indistinguishable from the
-        // support-scan path: same alive sets, parses, and pass counts.
+    fn bmm_strategy_matches_support_scan_filtering() {
+        // Arc-parallel BMM filtering (the default) must be
+        // indistinguishable from the support-scan path: same alive sets,
+        // parses, and pass counts.
         let g = english::grammar();
         let lex = english::lexicon(&g);
         for text in [
@@ -712,15 +716,15 @@ mod tests {
             "they often watch dogs near the table",
         ] {
             if let Ok(s) = lex.sentence(text) {
-                let base = parse_pram(&g, &s, options());
-                let bmm = parse_pram(
+                let base = parse_pram(
                     &g,
                     &s,
                     ParseOptions {
-                        filter_strategy: FilterStrategy::Bmm,
+                        filter_strategy: FilterStrategy::Incremental,
                         ..Default::default()
                     },
                 );
+                let bmm = parse_pram(&g, &s, options());
                 assert_eq!(base.filter_passes, bmm.filter_passes, "`{text}`");
                 for (a, b) in base.network.slots().iter().zip(bmm.network.slots()) {
                     assert_eq!(a.alive, b.alive, "`{text}` alive sets diverge");

@@ -28,9 +28,8 @@
 //! are bit-identical to the original engine.
 
 use crate::layout::Layout;
-use bitmat::BitVec;
 use cdg_core::error::{BudgetResource, EngineError, ParseBudget};
-use cdg_core::network::{FilterStrategy, NetParts, Network};
+use cdg_core::network::Network;
 use cdg_grammar::{Constraint, Grammar, Sentence};
 use maspar_sim::{FaultPlan, Machine, MachineConfig, MachineStats, Plural, PluralBits, SegmentMap};
 
@@ -71,14 +70,6 @@ pub struct MasparOptions {
     /// and produce bit-identical outcomes and [`MachineStats`]; only host
     /// wall time differs.
     pub packed: bool,
-    /// Host-side realization of the readback that reconstructs the
-    /// [`Network`] from the machine's packed submatrices.
-    /// [`FilterStrategy::Bmm`] assembles whole arc-matrix rows a machine
-    /// word at a time; anything else keeps the per-entry scalar walk.
-    /// Like [`MasparOptions::packed`], the choice never reaches the
-    /// simulated machine: instruction stream, [`MachineStats`], and
-    /// estimated seconds are bit-identical either way.
-    pub filter_strategy: FilterStrategy,
 }
 
 impl Default for MasparOptions {
@@ -92,7 +83,6 @@ impl Default for MasparOptions {
             budget: ParseBudget::UNLIMITED,
             max_recovery_retries: 4,
             packed: true,
-            filter_strategy: FilterStrategy::default(),
         }
     }
 }
@@ -100,7 +90,7 @@ impl Default for MasparOptions {
 impl MasparOptions {
     /// Thin compatibility constructor from the unified
     /// [`cdg_core::EngineConfig`]: everything the machine reads off the
-    /// shared surface (budget, faults, packing, filter strategy), with the
+    /// shared surface (budget, faults, packing), with the
     /// machine shape supplied by the owner of the simulated array.
     pub fn from_engine_config(config: &cdg_core::EngineConfig, machine: MachineConfig) -> Self {
         MasparOptions {
@@ -108,7 +98,6 @@ impl MasparOptions {
             faults: config.faults.clone(),
             budget: config.budget,
             packed: config.packed,
-            filter_strategy: config.filter,
             ..Default::default()
         }
     }
@@ -171,9 +160,6 @@ pub struct MasparOutcome {
     /// short: the readback is a usable partial network and this records
     /// which limit bound. `None` for a complete parse.
     pub degraded: Option<EngineError>,
-    /// The host readback realization [`MasparOutcome::to_network`] picks
-    /// (recorded from [`MasparOptions::filter_strategy`]).
-    pub filter_strategy: FilterStrategy,
 }
 
 impl MasparOutcome {
@@ -224,26 +210,11 @@ impl MasparOutcome {
 
     /// Reconstruct a host-side [`Network`] with exactly this outcome's
     /// state (alive sets and arc entries), so the standard extraction and
-    /// rendering machinery applies.
-    ///
-    /// Two host realizations produce bit-identical networks: the
-    /// per-entry [`MasparOutcome::readback_scalar`] walk (the oracle) and
-    /// the word-parallel [`MasparOutcome::readback_tiled`] path used when
-    /// the run was configured with [`FilterStrategy::Bmm`]. Either way the
-    /// simulated instruction stream and [`MachineStats`] are untouched —
-    /// the strategy only changes how the *host* materializes the result.
+    /// rendering machinery applies: probe every (value, value) submatrix
+    /// bit and zero the host entry when the machine zeroed it. Host-side
+    /// only — the simulated instruction stream and [`MachineStats`] are
+    /// untouched.
     pub fn to_network<'g>(&self, grammar: &'g Grammar, sentence: &Sentence) -> Network<'g> {
-        if self.filter_strategy == FilterStrategy::Bmm {
-            self.readback_tiled(grammar, sentence)
-        } else {
-            self.readback_scalar(grammar, sentence)
-        }
-    }
-
-    /// Per-entry readback: probe every (value, value) submatrix bit and
-    /// zero the host entry when the machine zeroed it. The differential
-    /// oracle for [`MasparOutcome::readback_tiled`].
-    pub fn readback_scalar<'g>(&self, grammar: &'g Grammar, sentence: &Sentence) -> Network<'g> {
         let lay = &self.layout;
         let mut net = Network::build(grammar, sentence);
         net.init_arcs();
@@ -279,104 +250,6 @@ impl MasparOutcome {
                         }
                     }
                 }
-            }
-        }
-        net
-    }
-
-    /// Word-parallel readback: for each alive arc row, gather one l-bit
-    /// label chunk per modifiee straight out of the packed PE submatrix
-    /// word, spread it to host column positions lj·m + mj through a
-    /// precomputed per-label-count table, and apply the assembled mask
-    /// with a single word-wise row AND. Bits the machine zeroed for pairs
-    /// with a dead endpoint are already zero on the host (rows/columns of
-    /// removed values), so masking with the raw machine row is exact.
-    /// Charges the same `entries_zeroed` as the scalar walk plus the
-    /// observational `bmm_words` counter.
-    pub fn readback_tiled<'g>(&self, grammar: &'g Grammar, sentence: &Sentence) -> Network<'g> {
-        let lay = &self.layout;
-        let mut net = Network::build(grammar, sentence);
-        net.init_arcs();
-        for g in 0..lay.groups {
-            let (w, r, m_idx) = lay.decode_group(g);
-            let slot = w * lay.q + r;
-            for li in 0..lay.labels_of_role(r) {
-                if !self.is_alive(g, li) {
-                    net.remove_value(slot, li * lay.m + m_idx);
-                }
-            }
-        }
-        let m = lay.m;
-        let l = lay.l;
-        let NetParts {
-            slots,
-            arcs,
-            pairs,
-            stats,
-            ..
-        } = net.parts_mut();
-        let mut mask = BitVec::zeros(0);
-        let mut buf: Vec<u64> = Vec::new();
-        // spread[chunk] has bit lj·m set for every label bit lj of
-        // `chunk`; shifting the whole pattern left by mj lands each label
-        // at its host column lj·m + mj. Rebuilt only when the column
-        // role's label count changes.
-        let mut spread: Vec<Vec<u64>> = Vec::new();
-        let mut spread_labels = usize::MAX;
-        for &(si, sj, idx) in pairs {
-            let (wi, ri) = (si / lay.q, si % lay.q);
-            let (wj, rj) = (sj / lay.q, sj % lay.q);
-            let labels_j = lay.labels_of_role(rj);
-            let dom_j = slots[sj].domain.len();
-            debug_assert_eq!(dom_j, labels_j * m);
-            let row_words = dom_j.div_ceil(64);
-            if spread_labels != labels_j {
-                spread_labels = labels_j;
-                spread = vec![vec![0u64; row_words]; 1 << labels_j];
-                for chunk in 1usize..1 << labels_j {
-                    let lj = chunk.trailing_zeros() as usize;
-                    let mut pat = spread[chunk & (chunk - 1)].clone();
-                    pat[(lj * m) / 64] |= 1u64 << ((lj * m) % 64);
-                    spread[chunk] = pat;
-                }
-            }
-            for a in slots[si].alive.iter_ones() {
-                let (li, mi) = (a / m, a % m);
-                let cg = lay.group(wi, ri, mi);
-                buf.clear();
-                buf.resize(row_words, 0);
-                for mj in 0..m {
-                    let rg = lay.group(wj, rj, mj);
-                    let word = self.bits[lay.pe(cg, rg)] >> (li * l);
-                    let chunk = word as usize & ((1usize << labels_j) - 1);
-                    if chunk == 0 {
-                        continue;
-                    }
-                    // OR in spread[chunk] << mj. Any nonzero piece lands
-                    // below bit dom_j, so the guarded indices are in
-                    // range even when the word shift straddles or the
-                    // modifiee offset exceeds one word.
-                    let (wo, bo) = (mj / 64, mj % 64);
-                    for (w, &pat) in spread[chunk].iter().enumerate() {
-                        if pat == 0 {
-                            continue;
-                        }
-                        let lo = pat << bo;
-                        if lo != 0 {
-                            buf[w + wo] |= lo;
-                        }
-                        if bo != 0 {
-                            let hi = pat >> (64 - bo);
-                            if hi != 0 {
-                                buf[w + wo + 1] |= hi;
-                            }
-                        }
-                    }
-                }
-                mask.reset(dom_j);
-                mask.or_assign_raw(&buf);
-                stats.entries_zeroed += arcs[idx].row_and_count(a, &mask);
-                stats.bmm_words += m + row_words;
             }
         }
         net
@@ -768,7 +641,6 @@ fn drive<B: BoolRepr>(
         recovery,
         degraded,
         layout: lay,
-        filter_strategy: opts.filter_strategy,
     })
 }
 
@@ -1486,46 +1358,6 @@ mod tests {
         for (a, b) in packed.phases.iter().zip(&scalar.phases) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.stats, b.stats, "phase {} diverges", a.name);
-        }
-    }
-
-    #[test]
-    fn tiled_readback_matches_scalar_oracle() {
-        let g = paper::grammar();
-        let lex = paper::lexicon(&g);
-        let sentences = vec![
-            paper::example_sentence(&g),
-            lex.sentence("program the runs").unwrap(),
-            paper::cost_sweep_sentence(&g, 3),
-            paper::cost_sweep_sentence(&g, 5),
-        ];
-        for s in &sentences {
-            let scalar = parse_maspar(&g, s, &MasparOptions::default());
-            let tiled = parse_maspar(
-                &g,
-                s,
-                &MasparOptions {
-                    filter_strategy: FilterStrategy::Bmm,
-                    ..Default::default()
-                },
-            );
-            // The strategy is host-side only: the machine run must be
-            // bit-identical, instruction charges included.
-            assert_eq!(scalar.bits, tiled.bits);
-            assert_eq!(scalar.alive, tiled.alive);
-            assert_eq!(scalar.stats, tiled.stats);
-            let a = scalar.to_network(&g, s);
-            let b = tiled.to_network(&g, s);
-            for (sa, sb) in a.slots().iter().zip(b.slots()) {
-                assert_eq!(sa.alive, sb.alive);
-            }
-            assert_eq!(a.arcs_raw(), b.arcs_raw());
-            let mut masked = b.stats;
-            // A fully rejected sentence has no alive rows left to mask.
-            assert_eq!(masked.bmm_words > 0, b.total_alive() > 0);
-            masked.bmm_words = a.stats.bmm_words;
-            masked.bmm_tiles = a.stats.bmm_tiles;
-            assert_eq!(a.stats, masked, "host stats must agree up to bmm_*");
         }
     }
 

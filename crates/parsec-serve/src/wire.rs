@@ -198,7 +198,7 @@ mod tests {
     fn full_option_set_parses() {
         let line =
             "PARSE budget=ms=50,iters=3 class=batch faults=7 transient=1 parses=2 engine=maspar \
-             filter=bmm eval=naive packed=false -- the program runs";
+             filter=incremental eval=naive packed=false -- the program runs";
         match parse_request(line, 16).unwrap() {
             Request::Parse { text, config } => {
                 assert_eq!(text, "the program runs");
@@ -210,7 +210,7 @@ mod tests {
                 assert_eq!(config.transient, Some(1));
                 assert_eq!(config.max_parses, 2);
                 assert_eq!(config.engine.as_deref(), Some("maspar"));
-                assert_eq!(config.filter, FilterStrategy::Bmm);
+                assert_eq!(config.filter, FilterStrategy::Incremental);
                 assert_eq!(config.eval, EvalStrategy::Naive);
                 assert!(!config.packed);
             }
@@ -240,6 +240,11 @@ mod tests {
         assert!(parse_request("PARSE class=gold -- x", 16).is_err());
         assert!(parse_request("PARSE parses=0 -- x", 16).is_err());
         assert!(parse_request("PARSE filter=fast -- x", 16).is_err());
+        // `auto` is not a strategy: a bad value of a known key.
+        match parse_request("PARSE filter=auto -- x", 16) {
+            Err(WireError::Malformed(msg)) => assert!(msg.contains("filter"), "{msg}"),
+            other => panic!("filter=auto: {other:?}"),
+        }
         // Fault PE ids are checked against the configured machine.
         assert!(parse_request("PARSE faults=dead=99 -- x", 16).is_err());
     }

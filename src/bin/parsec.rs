@@ -15,9 +15,9 @@
 //!   --trace[=json]                               print the phase trace (tree, or one JSON line)
 //!   --metrics                                    print the metrics registry snapshot
 //!   --naive-eval                                 use the naive tree-walk evaluator (oracle)
-//!   --filter <auto|naive|incremental|bmm>        consistency filter: full rescans, AC-4
-//!                                                worklist, or blocked boolean-matrix-multiply
-//!                                                kernels (default auto: follow the evaluator)
+//!   --filter <bmm|naive|incremental>             consistency filter: blocked boolean-matrix-
+//!                                                multiply kernels (default), or the full-rescan
+//!                                                and AC-4 worklist oracles
 //!   --budget <spec>                              resource budget, e.g. ms=50,iters=3,cells=100000
 //!   --faults <spec>                              (maspar) fault plan: a seed, or seed=N,dead=N,...
 //!   --maspar-scalar                              (maspar) unpacked Plural<bool> oracle, no bit-slicing
@@ -126,7 +126,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: parsec [--grammar paper|english|anbn|brackets|ww|www] [--grammar-file path] \
          [--engine serial|pram|maspar] [--parses N] [--network] [--dot] [--stats] \
-         [--trace[=json]] [--metrics] [--naive-eval] [--filter auto|naive|incremental|bmm] \
+         [--trace[=json]] [--metrics] [--naive-eval] [--filter bmm|naive|incremental] \
          [--budget spec] [--faults spec] \
          [--maspar-scalar] [--relax] [--threads N] [--batch file|-] \
          [--version] <sentence...>\n\

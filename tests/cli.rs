@@ -341,6 +341,25 @@ fn removed_batching_flags_are_usage_errors() {
 }
 
 #[test]
+fn filter_auto_is_an_invalid_value_and_bmm_is_the_default() {
+    // `auto` is not a filter strategy: the CLI reports the shared table's
+    // typed invalid-value error and exits 2.
+    let out = run(&["--filter", "auto", "the", "dog", "runs"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.contains("invalid value for `filter`"), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    // Every named strategy, the default included, gives the same answer.
+    let default = run(&["the", "dog", "runs"]);
+    assert_eq!(default.status.code(), Some(0));
+    for name in ["bmm", "naive", "incremental"] {
+        let out = run(&["--filter", name, "the", "dog", "runs"]);
+        assert_eq!(out.status.code(), Some(0), "--filter {name}");
+        assert_eq!(stdout(&out), stdout(&default), "--filter {name}");
+    }
+}
+
+#[test]
 fn empty_batch_is_a_typed_report_not_a_silent_success() {
     // Zero parseable lines — comments and blanks only — must exit 2 with
     // the wire-encoded EmptySentence error, matching what the serve

@@ -29,9 +29,17 @@ const SEEDS: u64 = 64;
 fn options(eval: EvalStrategy) -> ParseOptions {
     // Bounded filtering keeps both evaluators on the same pass budget;
     // 10 passes reaches the fixpoint on everything these sizes generate.
+    // The naive evaluator runs the all-oracle pipeline: naive evaluation
+    // with full-rescan filtering, named explicitly since the default
+    // filter is BMM whatever the evaluator.
+    let filter_strategy = match eval {
+        EvalStrategy::Kernel => FilterStrategy::default(),
+        EvalStrategy::Naive => FilterStrategy::Naive,
+    };
     ParseOptions {
         filter: FilterMode::Bounded(10),
         eval,
+        filter_strategy,
         ..Default::default()
     }
 }

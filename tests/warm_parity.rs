@@ -19,8 +19,7 @@ use parsec_maspar::Maspar;
 /// The differential seed count shared with the determinism suite.
 const SEEDS: u64 = 64;
 
-const STRATEGIES: [FilterStrategy; 4] = [
-    FilterStrategy::Auto,
+const STRATEGIES: [FilterStrategy; 3] = [
     FilterStrategy::Naive,
     FilterStrategy::Incremental,
     FilterStrategy::Bmm,
@@ -140,6 +139,14 @@ fn sequential_warm_matches_cold_oracle() {
                 warm.pool_stats().reuses > 0,
                 "no pool reuse: grammar={name} strategy={strategy:?}"
             );
+            // Only the BMM filter draws counter buffers from the warm
+            // state; the bounded bag must still serve some of them.
+            if strategy == FilterStrategy::Bmm {
+                assert!(
+                    warm.bmm_reuses() > 0,
+                    "no BMM counter-buffer reuse: grammar={name}"
+                );
+            }
         }
     }
 }
@@ -157,7 +164,7 @@ fn artifact_only_matches_cold_oracle() {
                 .parse(
                     &ParseRequest::new(g)
                         .sentence(s.clone())
-                        .options(options(FilterStrategy::Auto))
+                        .options(options(FilterStrategy::default()))
                         .max_parses(8),
                 )
                 .expect("cold parse");
@@ -165,7 +172,7 @@ fn artifact_only_matches_cold_oracle() {
                 .parse(
                     &ParseRequest::new(g)
                         .sentence(s)
-                        .options(options(FilterStrategy::Auto))
+                        .options(options(FilterStrategy::default()))
                         .max_parses(8)
                         .compiled(Arc::clone(&artifact)),
                 )
@@ -204,13 +211,13 @@ fn pram_and_maspar_treat_artifact_as_inert() {
                     .parse(
                         &ParseRequest::new(g)
                             .sentence(s.clone())
-                            .options(options(FilterStrategy::Auto))
+                            .options(options(FilterStrategy::default()))
                             .max_parses(8),
                     )
                     .expect("bare parse");
                 let req = ParseRequest::new(g)
                     .sentence(s.clone())
-                    .options(options(FilterStrategy::Auto))
+                    .options(options(FilterStrategy::default()))
                     .max_parses(8)
                     .compiled(Arc::clone(&artifact));
                 let mut warm = WarmState::new();
