@@ -590,33 +590,73 @@ impl Machine {
         self.apply_memory_flips(op, dst.as_mut_slice());
     }
 
-    /// One broadcast instruction reading two plurals: `dst[pe] =
-    /// f(pe, dst[pe], a[pe], b[pe])` on active PEs.
-    pub fn par_zip2<T: Send + FaultWord, U: Sync, V: Sync>(
+    /// One broadcast instruction that only every `stride`-th PE acts on
+    /// (PEs `0, stride, 2·stride, …`, the boundary PEs of `stride`-long
+    /// segments): each live one runs `f(pe, slot)`, and every other PE
+    /// executes the instruction as a no-op.
+    ///
+    /// The simulated machine cannot tell this apart from the predicated
+    /// `par_map(p, |pe, v| if pe % stride == 0 { f(pe, v) })` it stands
+    /// for: the same plural op and slices are charged, the same dead-PE
+    /// skips counted and the same memory flips applied. Only the host
+    /// does less, visiting `n / stride` PEs without a division each.
+    pub fn par_map_strided<T: FaultWord>(
         &mut self,
-        dst: &mut Plural<T>,
-        a: &Plural<U>,
-        b: &Plural<V>,
-        f: impl Fn(usize, &mut T, &U, &V) + Sync,
+        p: &mut Plural<T>,
+        stride: usize,
+        mut f: impl FnMut(usize, &mut T),
     ) {
-        assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
-        assert_eq!(a.len(), self.n_virt, "plural size mismatch");
-        assert_eq!(b.len(), self.n_virt, "plural size mismatch");
+        assert_eq!(p.len(), self.n_virt, "plural size mismatch");
+        assert!(stride > 0, "a stride must be positive");
+        let op = self.charge_plural_op();
+        self.count_dead_skips();
+        let slots = p.as_mut_slice();
+        for pe in (0..slots.len()).step_by(stride) {
+            if bits::live_at(&self.enabled, &self.virt_dead, pe) {
+                f(pe, &mut slots[pe]);
+            }
+        }
+        self.apply_memory_flips(op, p.as_mut_slice());
+    }
+
+    /// One broadcast instruction over a plural laid out as a row-major
+    /// grid `width` PEs wide (PE = `row · width + col`): every live PE
+    /// runs `f(state, row, col, slot)`. The host splits the rows across
+    /// rayon workers; `init` builds each chunk's scratch `state`.
+    ///
+    /// Charged exactly like the [`Machine::par_map`] it stands for; it
+    /// exists so that kernels computing from a PE's (row, column) get the
+    /// coordinates without dividing every PE id.
+    pub fn par_map_grid<T: Send + FaultWord, S>(
+        &mut self,
+        p: &mut Plural<T>,
+        width: usize,
+        init: impl Fn() -> S + Send + Sync,
+        f: impl Fn(&mut S, usize, usize, &mut T) + Send + Sync,
+    ) {
+        assert_eq!(p.len(), self.n_virt, "plural size mismatch");
+        assert!(
+            width > 0 && p.len() % width == 0,
+            "grid width {width} does not tile {} PEs",
+            p.len()
+        );
         let op = self.charge_plural_op();
         self.count_dead_skips();
         let enabled: &[u64] = &self.enabled;
         let dead: &[u64] = &self.virt_dead;
-        let a = a.as_slice();
-        let b = b.as_slice();
-        dst.as_mut_slice()
-            .par_iter_mut()
+        let rows: Vec<&mut [T]> = p.as_mut_slice().chunks_mut(width).collect();
+        rows.into_par_iter()
             .enumerate()
-            .for_each(|(pe, slot)| {
-                if bits::live_at(enabled, dead, pe) {
-                    f(pe, slot, &a[pe], &b[pe]);
+            .map_init(init, |state, (row, slots)| {
+                let base = row * width;
+                for (col, slot) in slots.iter_mut().enumerate() {
+                    if bits::live_at(enabled, dead, base + col) {
+                        f(state, row, col, slot);
+                    }
                 }
-            });
-        self.apply_memory_flips(op, dst.as_mut_slice());
+            })
+            .for_each(|()| {});
+        self.apply_memory_flips(op, p.as_mut_slice());
     }
 
     /// Build a fresh plural from PE ids in one instruction (active PEs run
@@ -1031,33 +1071,6 @@ impl Machine {
             dst.words_mut()[w] = word;
         }
         self.apply_memory_flips_bits(op, dst);
-    }
-
-    /// One broadcast instruction: every live PE updates its word of `dst`
-    /// from its bit of `src` (the packed counterpart of a
-    /// `par_zip(&mut u64_dst, &bool_src, ...)`). `f` runs for *every*
-    /// live PE, matching the unpacked semantics.
-    pub fn par_zip_bits(
-        &mut self,
-        dst: &mut Plural<u64>,
-        src: &PluralBits,
-        f: impl Fn(usize, &mut u64, bool),
-    ) {
-        assert_eq!(dst.len(), self.n_virt, "plural size mismatch");
-        assert_eq!(src.len(), self.n_virt, "plural size mismatch");
-        let op = self.charge_plural_op();
-        self.count_dead_skips();
-        let d = dst.as_mut_slice();
-        for w in 0..bits::word_count(self.n_virt) {
-            let mut m = self.live_word(w);
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                let pe = w * 64 + b;
-                f(pe, &mut d[pe], src.get(pe));
-                m &= m - 1;
-            }
-        }
-        self.apply_memory_flips(op, dst.as_mut_slice());
     }
 
     /// Build a fresh packed plural in one instruction (live PEs run `f`;
@@ -1652,8 +1665,8 @@ mod tests {
         let mut pacc = pm.alloc(0u64);
         let (p_or, p_and, p_first) = pm.with_activity_bits(&pmask, |m| {
             m.par_map_bits(&mut pderived, &pu, |_, s| s & 2 != 0);
-            m.par_zip_bits(&mut pacc, &pflags, |pe, a, f| {
-                if f {
+            m.par_map(&mut pacc, |pe, a| {
+                if pflags.get(pe) {
                     *a |= 1 << (pe % 60)
                 }
             });
@@ -1700,6 +1713,125 @@ mod tests {
         for n in [5usize, 64, 65, 130] {
             for seed in [1u64, 7, 42, 1234] {
                 packed_differential(n, Some(FaultPlan::seeded(seed, 4, 40)));
+            }
+        }
+    }
+
+    /// Run one program twice — once through the strided and grid
+    /// broadcasts, once through the predicated `par_map` / `par_zip`
+    /// they stand for — and demand identical plural contents and
+    /// identical [`MachineStats`], inside a narrowed activity frame and
+    /// outside it. Returns the stats for further checks.
+    fn strided_and_grid_differential(
+        n: usize,
+        width: usize,
+        plan: Option<FaultPlan>,
+    ) -> MachineStats {
+        let fresh = |plan: &Option<FaultPlan>| {
+            let mut m = Machine::new(
+                MachineConfig {
+                    phys_pes: 16,
+                    ..Default::default()
+                },
+                n,
+            );
+            if let Some(p) = plan.clone() {
+                m.arm_faults(p);
+            }
+            m
+        };
+        let (mut rm, mut nm) = (fresh(&plan), fresh(&plan));
+        let setup = |m: &mut Machine| {
+            let mask = m.par_init_bits(false, |pe| pe % 3 != 1);
+            let a = m.par_init(0u64, |pe| pe as u64 * 7 + 1);
+            let src = m.par_init(0u64, |pe| pe as u64 * 13);
+            let b = m.alloc(5u64);
+            (mask, a, src, b)
+        };
+        let (rmask, mut ra, rsrc, mut rb) = setup(&mut rm);
+        let (nmask, mut na, nsrc, mut nb) = setup(&mut nm);
+
+        // Reference: the predicated broadcasts.
+        rm.with_activity_bits(&rmask, |m| {
+            m.par_map(&mut ra, |pe, v| {
+                if pe % width == 0 {
+                    *v ^= pe as u64 + 1;
+                }
+            });
+            m.par_zip(&mut rb, &rsrc, |pe, v, &s| {
+                if pe % width == 0 {
+                    *v += s;
+                }
+            });
+            m.par_map(&mut ra, |pe, v| {
+                *v = v.rotate_left(3) ^ ((pe / width) * 1000 + pe % width) as u64;
+            });
+        });
+        rm.par_map(&mut rb, |pe, v| {
+            if pe % width == 0 {
+                *v = v.wrapping_mul(3);
+            }
+        });
+        rm.par_map(&mut rb, |pe, v| *v += (pe / width + pe % width) as u64);
+
+        // The same program through the strided and grid broadcasts.
+        nm.with_activity_bits(&nmask, |m| {
+            m.par_map_strided(&mut na, width, |pe, v| *v ^= pe as u64 + 1);
+            let s = nsrc.as_slice();
+            m.par_map_strided(&mut nb, width, |pe, v| *v += s[pe]);
+            m.par_map_grid(
+                &mut na,
+                width,
+                || 0usize,
+                |visits, row, col, v| {
+                    *visits += 1;
+                    *v = v.rotate_left(3) ^ (row * 1000 + col) as u64;
+                },
+            );
+        });
+        nm.par_map_strided(&mut nb, width, |_, v| *v = v.wrapping_mul(3));
+        nm.par_map_grid(&mut nb, width, Vec::<u64>::new, |scratch, row, col, v| {
+            scratch.push(*v);
+            *v += (row + col) as u64;
+        });
+
+        let ctx = format!("n={n} width={width} faults={plan:?}");
+        assert_eq!(na.as_slice(), ra.as_slice(), "{ctx}");
+        assert_eq!(nb.as_slice(), rb.as_slice(), "{ctx}");
+        assert_eq!(nm.stats, rm.stats, "{ctx}");
+        assert_eq!(nm.op_count(), rm.op_count(), "{ctx}");
+        nm.stats
+    }
+
+    const GRIDS: [(usize, usize); 5] = [(6, 3), (64, 8), (130, 13), (200, 10), (324, 18)];
+
+    #[test]
+    fn strided_and_grid_broadcasts_match_predicated_par_map_fault_free() {
+        for (n, width) in GRIDS {
+            let stats = strided_and_grid_differential(n, width, None);
+            assert_eq!(stats.plural_ops, 9, "n={n}: one op per broadcast");
+        }
+    }
+
+    #[test]
+    fn strided_and_grid_broadcasts_match_predicated_par_map_under_faults() {
+        // Dead PEs that are never retired, and memory flips scheduled on
+        // the strided (ops 5, 6, 8) and grid (ops 7, 9) broadcasts, some
+        // landing on stride boundaries (virtual PE 0 sits on phys 0).
+        let plan = FaultPlan::new()
+            .with_dead_pe(2)
+            .with_dead_pe(9)
+            .with_memory_flip(5, 0, 3)
+            .with_memory_flip(6, 5, 17)
+            .with_memory_flip(7, 7, 1)
+            .with_memory_flip(8, 0, 9)
+            .with_memory_flip(9, 12, 40);
+        for (n, width) in GRIDS {
+            let stats = strided_and_grid_differential(n, width, Some(plan.clone()));
+            assert!(stats.dead_pe_skips > 0, "n={n}: dead PEs must be skipped");
+            assert!(stats.memory_flips > 0, "n={n}: flips must land");
+            for seed in [1u64, 7, 42, 1234] {
+                strided_and_grid_differential(n, width, Some(FaultPlan::seeded(seed, 16, 10)));
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The [`Engine`] implementation for the simulated MasPar MP-1 backend.
 
-use crate::engine::{parse_maspar_checked, MasparOptions};
+use crate::engine::{parse_maspar_compiled, MasparOptions};
 use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest};
 use cdg_core::batch::BatchOutcome;
 use cdg_core::consistency::is_locally_consistent;
@@ -35,7 +35,9 @@ fn rejected_outcome() -> BatchOutcome {
 /// (`None` → 0 iterations, `Bounded(k)` → k, `Fixpoint` → the configured
 /// iteration cap — design decision 5 has no true fixpoint mode).
 /// `ParseRequest::threads` is ignored: the simulated array's shape comes
-/// from [`MasparOptions::machine`], not the host's core count.
+/// from [`MasparOptions::machine`], not the host's core count. An
+/// attached `ParseRequest::compiled` artifact supplies the constraint
+/// programs; without one they are compiled per parse.
 #[derive(Debug, Clone, Default)]
 pub struct Maspar {
     /// Machine shape, trace flag, recovery retries, and the filter
@@ -86,7 +88,7 @@ impl Maspar {
         let start = Instant::now();
         let (out, network, parses) = {
             let _root = obsv::span("parse");
-            let out = parse_maspar_checked(req.grammar, sentence, &opts)?;
+            let out = parse_maspar_compiled(req.grammar, sentence, &opts, req.compiled.as_deref())?;
             let network = {
                 // Rebuilding the host network re-enters the sequential
                 // primitives, so their spans nest under `readback`.

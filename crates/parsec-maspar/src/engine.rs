@@ -30,8 +30,11 @@
 use crate::layout::Layout;
 use cdg_core::error::{BudgetResource, EngineError, ParseBudget};
 use cdg_core::network::Network;
-use cdg_grammar::{Constraint, Grammar, Sentence};
+use cdg_grammar::expr::{Binding, EvalCtx};
+use cdg_grammar::kernel::KernelProgram;
+use cdg_grammar::{CompiledGrammar, Constraint, Grammar, Sentence, Value};
 use maspar_sim::{FaultPlan, Machine, MachineConfig, MachineStats, Plural, PluralBits, SegmentMap};
+use std::borrow::Cow;
 
 /// Conservative peak working set per virtual-PE layer, bytes (all plurals
 /// the driver ever holds at once). Used to reject programs that would
@@ -210,45 +213,42 @@ impl MasparOutcome {
 
     /// Reconstruct a host-side [`Network`] with exactly this outcome's
     /// state (alive sets and arc entries), so the standard extraction and
-    /// rendering machinery applies: probe every (value, value) submatrix
-    /// bit and zero the host entry when the machine zeroed it. Host-side
-    /// only — the simulated instruction stream and [`MachineStats`] are
-    /// untouched.
+    /// rendering machinery applies. Host-side only — the simulated
+    /// instruction stream and [`MachineStats`] are untouched.
+    ///
+    /// Dead role values are removed before the arcs are built, so the
+    /// rebuild sets only alive × alive entries; then each PE above the
+    /// diagonal zeroes the alive × alive pairs its submatrix lost.
     pub fn to_network<'g>(&self, grammar: &'g Grammar, sentence: &Sentence) -> Network<'g> {
         let lay = &self.layout;
         let mut net = Network::build(grammar, sentence);
-        net.init_arcs();
-        // Remove dead role values. Core domain index = li·n + m_idx.
-        for g in 0..lay.groups {
-            let (w, r, m_idx) = lay.decode_group(g);
-            let slot = w * lay.q + r;
-            for li in 0..lay.labels_of_role(r) {
-                if !self.is_alive(g, li) {
+        // Core domain index = li·m + m_idx.
+        let live: Vec<u64> = (0..lay.groups)
+            .map(|g| self.alive[g] & lay.label_mask(lay.slot_of(g) % lay.q))
+            .collect();
+        for (g, &alive) in live.iter().enumerate() {
+            let (slot, m_idx) = (lay.slot_of(g), g % lay.m);
+            for li in 0..lay.labels_of_role(slot % lay.q) {
+                if alive >> li & 1 == 0 {
                     net.remove_value(slot, li * lay.m + m_idx);
                 }
             }
         }
-        // Zero arc entries the machine zeroed.
-        let nslots = lay.n * lay.q;
-        for si in 0..nslots {
-            for sj in (si + 1)..nslots {
-                let (wi, ri) = (si / lay.q, si % lay.q);
-                let (wj, rj) = (sj / lay.q, sj % lay.q);
-                for mi in 0..lay.m {
-                    let cg = lay.group(wi, ri, mi);
-                    for li in 0..lay.labels_of_role(ri) {
-                        if !self.is_alive(cg, li) {
-                            continue;
-                        }
-                        for mj in 0..lay.m {
-                            let rg = lay.group(wj, rj, mj);
-                            for lj in 0..lay.labels_of_role(rj) {
-                                if self.is_alive(rg, lj) && !self.entry(cg, li, rg, lj) {
-                                    net.zero_arc_entry(si, li * lay.m + mi, sj, lj * lay.m + mj);
-                                }
-                            }
-                        }
-                    }
+        net.init_arcs();
+        // Zero the arc entries the machine zeroed: (column group, row
+        // group) pairs with the column's slot first, as the host stores
+        // them.
+        for (cg, &cols) in live.iter().enumerate() {
+            let (si, mi) = (lay.slot_of(cg), cg % lay.m);
+            if cols == 0 {
+                continue;
+            }
+            for (rg, &rows) in live.iter().enumerate().skip((si + 1) * lay.m) {
+                let (sj, mj) = (lay.slot_of(rg), rg % lay.m);
+                let pairs = ones(cols).fold(0u64, |p, li| p | rows << (li * lay.l));
+                for bit in ones(pairs & !self.bits[lay.pe(cg, rg)]) {
+                    let (li, lj) = (bit / lay.l, bit % lay.l);
+                    net.zero_arc_entry(si, li * lay.m + mi, sj, lj * lay.m + mj);
                 }
             }
         }
@@ -295,6 +295,19 @@ pub fn parse_maspar_checked(
     sentence: &Sentence,
     opts: &MasparOptions,
 ) -> Result<MasparOutcome, EngineError> {
+    parse_maspar_compiled(grammar, sentence, opts, None)
+}
+
+/// [`parse_maspar_checked`] looking constraint programs up in the
+/// grammar's compiled artifact when one is attached; without one, each
+/// constraint is compiled once per parse. Identical results and charges
+/// either way.
+pub(crate) fn parse_maspar_compiled(
+    grammar: &Grammar,
+    sentence: &Sentence,
+    opts: &MasparOptions,
+    compiled: Option<&CompiledGrammar>,
+) -> Result<MasparOutcome, EngineError> {
     let _build = obsv::span("network_build");
     let lay = precheck(grammar, sentence, opts)?;
 
@@ -336,9 +349,9 @@ pub fn parse_maspar_checked(
     }
 
     if opts.packed {
-        drive::<PluralBits>(machine, lay, grammar, sentence, opts, recovery)
+        drive::<PluralBits>(machine, lay, grammar, sentence, compiled, opts, recovery)
     } else {
-        drive::<Plural<bool>>(machine, lay, grammar, sentence, opts, recovery)
+        drive::<Plural<bool>>(machine, lay, grammar, sentence, compiled, opts, recovery)
     }
 }
 
@@ -383,6 +396,7 @@ fn drive<B: BoolRepr>(
     lay: Layout,
     grammar: &Grammar,
     sentence: &Sentence,
+    compiled: Option<&CompiledGrammar>,
     opts: &MasparOptions,
     mut recovery: RecoveryReport,
 ) -> Result<MasparOutcome, EngineError> {
@@ -412,32 +426,27 @@ fn drive<B: BoolRepr>(
     // --- Init: every plural is a pure function of the PE id, so the host
     // verifies it directly against expected values (no double execution
     // needed). Fault-free, init_exact is exactly alloc + one par_map —
-    // the same instructions as the original engine.
-    //
+    // the same instructions as the original engine. The host lays each
+    // expected plural out row by row from per-group tables (`per_pe`).
+    let retries = opts.max_recovery_retries.max(1);
+    let _init = obsv::span("arc_init");
+    let tables = HostTables::new(&lay);
     // Validity mask: everything but the self-arc diagonal (Figure 11's
     // disabled PEs). Computed once from PE ids — design decision 2: no
     // broadcast needed.
-    let retries = opts.max_recovery_retries.max(1);
-    let n_virt = lay.virt_pes();
-    let expect = |f: &dyn Fn(usize) -> u64| -> Vec<u64> { (0..n_virt).map(f).collect() };
-    let _init = obsv::span("arc_init");
     let valid = B::init_exact(
         &mut machine,
         "valid",
         retries,
         &mut recovery,
-        &(0..n_virt)
-            .map(|pe| !lay.is_diagonal(pe))
-            .collect::<Vec<_>>(),
+        &per_pe(&lay, |cg, rg| !tables.diagonal(cg, rg)),
     )?;
     let block_boundary = B::init_exact(
         &mut machine,
         "block-boundary",
         retries,
         &mut recovery,
-        &(0..n_virt)
-            .map(|pe| !lay.is_diagonal(pe) && pe % lay.m == 0)
-            .collect::<Vec<_>>(),
+        &per_pe(&lay, |cg, rg| tables.block_boundary(cg, rg)),
     )?;
 
     // Design decision 1: arc matrices first, all ones (Figure 9).
@@ -446,14 +455,14 @@ fn drive<B: BoolRepr>(
         "bits",
         retries,
         &mut recovery,
-        &expect(&|pe| lay.init_bits(pe)),
+        &per_pe(&lay, |cg, rg| tables.init_bits(cg, rg)),
     )?;
     let mut alive: Plural<u64> = init_exact(
         &mut machine,
         "alive",
         retries,
         &mut recovery,
-        &expect(&|pe| lay.init_alive(pe)),
+        &per_pe(&lay, |cg, rg| tables.init_alive(&lay, cg, rg)),
     )?;
 
     // Router index plurals for the alive-mask gathers (phase D).
@@ -462,18 +471,14 @@ fn drive<B: BoolRepr>(
         "col-idx",
         retries,
         &mut recovery,
-        &(0..n_virt)
-            .map(|pe| lay.decode_pe(pe).0 * lay.groups)
-            .collect::<Vec<_>>(),
+        &per_pe(&lay, |cg, _| cg * lay.groups),
     )?;
     let row_boundary_idx: Plural<usize> = init_exact(
         &mut machine,
         "row-idx",
         retries,
         &mut recovery,
-        &(0..n_virt)
-            .map(|pe| lay.decode_pe(pe).1 * lay.groups)
-            .collect::<Vec<_>>(),
+        &per_pe(&lay, |_, rg| rg * lay.groups),
     )?;
     phase(&machine, &mut phases, &mut mark, "init".into());
     drop(_init);
@@ -487,6 +492,7 @@ fn drive<B: BoolRepr>(
             break;
         }
         let _c = obsv::span_with(|| format!("unary:{}", c.name));
+        let prog = program(compiled, grammar, c);
         run_phase(
             &mut machine,
             retries,
@@ -495,7 +501,7 @@ fn drive<B: BoolRepr>(
             &mut bits,
             &mut alive,
             |m, bits, alive| {
-                B::apply_unary(m, &lay, sentence, c, &valid, bits, alive);
+                B::apply_unary(m, &lay, &tables, sentence, c, &prog, &valid, bits, alive);
                 0
             },
         )?;
@@ -522,6 +528,7 @@ fn drive<B: BoolRepr>(
                 mask_dead(
                     m,
                     &lay,
+                    &tables,
                     &valid,
                     bits,
                     alive,
@@ -542,6 +549,7 @@ fn drive<B: BoolRepr>(
             break;
         }
         let _c = obsv::span_with(|| format!("binary:{}", c.name));
+        let prog = program(compiled, grammar, c);
         run_phase(
             &mut machine,
             retries,
@@ -550,7 +558,7 @@ fn drive<B: BoolRepr>(
             &mut bits,
             &mut alive,
             |m, bits, _alive| {
-                apply_binary(m, &lay, sentence, c, &valid, bits);
+                apply_binary(m, &lay, &tables, sentence, &prog, &valid, bits);
                 0
             },
         )?;
@@ -599,6 +607,7 @@ fn drive<B: BoolRepr>(
                 maintain(
                     m,
                     &lay,
+                    &tables,
                     &valid,
                     &block_boundary,
                     bits,
@@ -729,6 +738,129 @@ fn restore(machine: &mut Machine, p: &mut Plural<u64>, golden: &[u64]) {
     machine.par_map(p, |pe, v| *v = golden[pe]);
 }
 
+/// The bytecode of constraint `c`: looked up in the grammar's compiled
+/// artifact when one is attached, compiled here otherwise.
+fn program<'a>(
+    compiled: Option<&'a CompiledGrammar>,
+    grammar: &Grammar,
+    c: &Constraint,
+) -> Cow<'a, KernelProgram> {
+    match compiled.and_then(|cg| cg.program_for(grammar, c)) {
+        Some(p) => Cow::Borrowed(p),
+        None => Cow::Owned(KernelProgram::compile(&c.expr)),
+    }
+}
+
+/// One host value per virtual PE, in PE order, from the PE's (column
+/// group, row group): nested loops over the groups instead of decoding
+/// every PE id.
+fn per_pe<T>(lay: &Layout, f: impl Fn(usize, usize) -> T) -> Vec<T> {
+    let mut out = Vec::with_capacity(lay.virt_pes());
+    for cg in 0..lay.groups {
+        out.extend((0..lay.groups).map(|rg| f(cg, rg)));
+    }
+    out
+}
+
+/// The set bit positions of `mask`, ascending.
+fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// Per-parse host tables for the kernels and the init plurals. They
+/// change how the host computes a broadcast, never what the simulated
+/// machine executes.
+struct HostTables {
+    /// The layout's roles per word, labels per submatrix side and
+    /// modifiee choices per role.
+    q: usize,
+    l: usize,
+    m: usize,
+    /// The (word, role) slot and the role index of each group.
+    slot: Vec<usize>,
+    role: Vec<usize>,
+    /// The initial off-diagonal submatrix of each (column role, row
+    /// role) pair, at `cr · q + rr`.
+    submatrix: Vec<u64>,
+    /// Constraint binding of role value (group, label index), at
+    /// `g · l + li`; `None` for a padded label slot.
+    bindings: Vec<Option<Binding>>,
+    /// `col_keep[a]`: the submatrix bits of every column label in
+    /// label mask `a < 2^l`; `row_keep[a]` likewise for row labels.
+    col_keep: Vec<u64>,
+    row_keep: Vec<u64>,
+}
+
+impl HostTables {
+    fn new(lay: &Layout) -> Self {
+        let slot: Vec<usize> = (0..lay.groups).map(|g| lay.slot_of(g)).collect();
+        let role = slot.iter().map(|s| s % lay.q).collect();
+        let q = lay.q;
+        let submatrix = (0..q * q)
+            .map(|k| lay.init_submatrix(k / q, k % q))
+            .collect();
+        let bindings = (0..lay.groups * lay.l)
+            .map(|k| lay.binding(k / lay.l, k % lay.l))
+            .collect();
+        let keep = |line: &dyn Fn(usize) -> u64| -> Vec<u64> {
+            (0..1u64 << lay.l)
+                .map(|a| ones(a).fold(0, |keep, li| keep | line(li)))
+                .collect()
+        };
+        HostTables {
+            q,
+            l: lay.l,
+            m: lay.m,
+            slot,
+            role,
+            submatrix,
+            bindings,
+            col_keep: keep(&|i| lay.row_mask(i)),
+            row_keep: keep(&|j| lay.col_mask(j)),
+        }
+    }
+
+    fn binding(&self, g: usize, li: usize) -> Option<Binding> {
+        self.bindings[g * self.l + li]
+    }
+
+    /// Is PE (cg, rg) on the invalid self-arc diagonal (one slot)?
+    fn diagonal(&self, cg: usize, rg: usize) -> bool {
+        self.slot[cg] == self.slot[rg]
+    }
+
+    /// Is PE (cg, rg) the first valid PE of its (column, row slot)
+    /// block — where Figure 12's scanOr deposits?
+    fn block_boundary(&self, cg: usize, rg: usize) -> bool {
+        !self.diagonal(cg, rg) && rg == self.slot[rg] * self.m
+    }
+
+    /// The initial submatrix of PE (cg, rg): every valid label pair,
+    /// empty on the diagonal.
+    fn init_bits(&self, cg: usize, rg: usize) -> u64 {
+        if self.diagonal(cg, rg) {
+            return 0;
+        }
+        self.submatrix[self.role[cg] * self.q + self.role[rg]]
+    }
+
+    /// The initial alive mask: every valid label, held by each
+    /// column's boundary PE (row group 0).
+    fn init_alive(&self, lay: &Layout, cg: usize, rg: usize) -> u64 {
+        if rg == 0 {
+            lay.label_mask(self.role[cg])
+        } else {
+            0
+        }
+    }
+}
+
 /// The boolean-plural representation the engine runs on: bit-sliced
 /// [`PluralBits`] (64 PEs per host word) or the unpacked [`Plural<bool>`]
 /// scalar oracle. Every method issues exactly the same broadcast
@@ -768,11 +900,14 @@ trait BoolRepr: Sized {
     /// its violating role values; boundary PEs update the alive masks. The
     /// violation test is pure PE-local computation from the PE id plus the
     /// ACU-broadcast constraint (design decision 2). Three broadcasts.
+    #[allow(clippy::too_many_arguments)]
     fn apply_unary(
         machine: &mut Machine,
         lay: &Layout,
+        tables: &HostTables,
         sentence: &Sentence,
         c: &Constraint,
+        prog: &KernelProgram,
         valid: &Self,
         bits: &mut Plural<u64>,
         alive: &mut Plural<u64>,
@@ -840,8 +975,10 @@ impl BoolRepr for Plural<bool> {
     fn apply_unary(
         machine: &mut Machine,
         lay: &Layout,
+        _tables: &HostTables,
         sentence: &Sentence,
         c: &Constraint,
+        _prog: &KernelProgram,
         valid: &Self,
         bits: &mut Plural<u64>,
         alive: &mut Plural<u64>,
@@ -946,8 +1083,9 @@ impl BoolRepr for PluralBits {
         groups: usize,
         li: usize,
     ) {
-        machine.par_zip_bits(support, self, move |pe, s, ok| {
-            if pe % groups == 0 && ok {
+        // Only the column boundary PEs act: a strided broadcast.
+        machine.par_map_strided(support, groups, |pe, s| {
+            if self.get(pe) {
                 *s |= 1u64 << li;
             }
         });
@@ -956,8 +1094,10 @@ impl BoolRepr for PluralBits {
     fn apply_unary(
         machine: &mut Machine,
         lay: &Layout,
+        tables: &HostTables,
         sentence: &Sentence,
-        c: &Constraint,
+        _c: &Constraint,
+        prog: &KernelProgram,
         valid: &Self,
         bits: &mut Plural<u64>,
         alive: &mut Plural<u64>,
@@ -966,86 +1106,71 @@ impl BoolRepr for PluralBits {
         // evaluate it once per group on the host and broadcast keep masks
         // — the PEs apply two ANDs instead of re-evaluating the constraint
         // l times each. Same three broadcasts, bit-identical results.
+        let mut stack = Vec::new();
+        let mut violates = |b: Binding| {
+            !prog
+                .eval_with(&EvalCtx::unary(sentence, b), &mut stack)
+                .truth()
+                .not_false()
+        };
         let viol: Vec<u64> = (0..lay.groups)
             .map(|g| {
-                let mut v = 0u64;
-                for li in 0..lay.l {
-                    if let Some(b) = lay.binding(g, li) {
-                        if !c.check_unary(sentence, b) {
-                            v |= 1u64 << li;
-                        }
-                    }
-                }
-                v
+                (0..lay.l)
+                    .filter(|&li| tables.binding(g, li).is_some_and(&mut violates))
+                    .fold(0, |v, li| v | 1u64 << li)
             })
             .collect();
-        let keep_cols: Vec<u64> = viol
-            .iter()
-            .map(|&v| {
-                let mut kill = 0u64;
-                for i in 0..lay.l {
-                    if v >> i & 1 == 1 {
-                        kill |= lay.row_mask(i);
-                    }
-                }
-                !kill
-            })
-            .collect();
-        let keep_rows: Vec<u64> = viol
-            .iter()
-            .map(|&v| {
-                let mut kill = 0u64;
-                for j in 0..lay.l {
-                    if v >> j & 1 == 1 {
-                        kill |= lay.col_mask(j);
-                    }
-                }
-                !kill
-            })
-            .collect();
+        let keep_cols: Vec<u64> = viol.iter().map(|&v| !tables.col_keep[v as usize]).collect();
+        let keep_rows: Vec<u64> = viol.iter().map(|&v| !tables.row_keep[v as usize]).collect();
         machine.with_activity_bits(valid, |m| {
-            m.par_map(bits, |pe, b| {
-                let (cg, rg) = lay.decode_pe(pe);
-                *b &= keep_cols[cg] & keep_rows[rg];
-            });
+            m.par_map_grid(
+                bits,
+                lay.groups,
+                || (),
+                |_, cg, rg, b| *b &= keep_cols[cg] & keep_rows[rg],
+            );
         });
-        machine.par_map(alive, |pe, a| {
-            if pe % lay.groups == 0 {
-                *a &= !viol[pe / lay.groups];
-            }
+        machine.par_map_strided(alive, lay.groups, |pe, a| {
+            *a &= !viol[pe / lay.groups];
         });
     }
 }
 
-/// One binary constraint: every PE checks its l×l pairs (both orderings).
+/// One binary constraint: every PE checks the set pairs of its l×l
+/// submatrix, in both orderings, by running the constraint's bytecode.
 fn apply_binary<B: BoolRepr>(
     machine: &mut Machine,
     lay: &Layout,
+    tables: &HostTables,
     sentence: &Sentence,
-    c: &Constraint,
+    prog: &KernelProgram,
     valid: &B,
     bits: &mut Plural<u64>,
 ) {
+    let l = lay.l;
+    let labels = (1u64 << l) - 1;
+    let holds = |x: Binding, y: Binding, stack: &mut Vec<Value>| {
+        prog.eval_with(&EvalCtx::binary(sentence, x, y), stack)
+            .truth()
+            .not_false()
+    };
     valid.with_activity(machine, |m| {
-        m.par_map(bits, |pe, b| {
-            if *b == 0 {
-                return;
-            }
-            let (cg, rg) = lay.decode_pe(pe);
-            for i in 0..lay.l {
-                let Some(bx) = lay.binding(cg, i) else {
+        m.par_map_grid(bits, lay.groups, Vec::new, |stack, cg, rg, b| {
+            // Visit only the submatrix rows that still hold a pair.
+            let mut rest = *b;
+            while rest != 0 {
+                let i = rest.trailing_zeros() as usize / l;
+                let row = rest >> (i * l) & labels;
+                rest &= !(labels << (i * l));
+                let Some(x) = tables.binding(cg, i) else {
                     continue;
                 };
-                for j in 0..lay.l {
-                    let mask = 1u64 << lay.bit(i, j);
-                    if *b & mask == 0 {
-                        continue;
-                    }
-                    let Some(by) = lay.binding(rg, j) else {
+                for j in ones(row) {
+                    let Some(y) = tables.binding(rg, j) else {
                         continue;
                     };
-                    if !c.check_pair(sentence, bx, by) {
-                        *b &= !mask;
+                    if !(holds(x, y, stack) && holds(y, x, stack)) {
+                        *b &= !(1u64 << (i * l + j));
                     }
                 }
             }
@@ -1055,10 +1180,13 @@ fn apply_binary<B: BoolRepr>(
 
 /// Zero every submatrix column/row belonging to a dead role value: two
 /// router gathers fetch the column's and row's alive masks from the
-/// boundary PEs, then one broadcast instruction applies them.
+/// boundary PEs, then one broadcast instruction applies each as a keep
+/// mask looked up by alive-label mask.
+#[allow(clippy::too_many_arguments)]
 fn mask_dead<B: BoolRepr>(
     machine: &mut Machine,
     lay: &Layout,
+    tables: &HostTables,
     valid: &B,
     bits: &mut Plural<u64>,
     alive: &Plural<u64>,
@@ -1069,30 +1197,13 @@ fn mask_dead<B: BoolRepr>(
     let mut row_alive = machine.alloc(0u64);
     machine.gather(alive, col_idx, &mut col_alive);
     machine.gather(alive, row_idx, &mut row_alive);
+    let labels = (1u64 << lay.l) - 1;
     valid.with_activity(machine, |m| {
-        m.par_zip(bits, &col_alive, |pe, b, &ca| {
-            let _ = pe;
-            let mut keep = 0u64;
-            for i in 0..lay.l {
-                if ca >> i & 1 == 1 {
-                    for j in 0..lay.l {
-                        keep |= 1u64 << lay.bit(i, j);
-                    }
-                }
-            }
-            *b &= keep;
+        m.par_zip(bits, &col_alive, |_, b, &ca| {
+            *b &= tables.col_keep[(ca & labels) as usize];
         });
-        m.par_zip(bits, &row_alive, |pe, b, &ra| {
-            let _ = pe;
-            let mut keep = 0u64;
-            for j in 0..lay.l {
-                if ra >> j & 1 == 1 {
-                    for i in 0..lay.l {
-                        keep |= 1u64 << lay.bit(i, j);
-                    }
-                }
-            }
-            *b &= keep;
+        m.par_zip(bits, &row_alive, |_, b, &ra| {
+            *b &= tables.row_keep[(ra & labels) as usize];
         });
     });
     machine.free(col_alive);
@@ -1107,6 +1218,7 @@ fn mask_dead<B: BoolRepr>(
 fn maintain<B: BoolRepr>(
     machine: &mut Machine,
     lay: &Layout,
+    tables: &HostTables,
     valid: &B,
     block_boundary: &B,
     bits: &mut Plural<u64>,
@@ -1138,24 +1250,20 @@ fn maintain<B: BoolRepr>(
 
     // New alive = old ∧ supported; removal counting is PE-local (popcount
     // of the bits each boundary PE loses), then one global sum tells the
-    // ACU how much this iteration removed (0 = fixpoint reached).
+    // ACU how much this iteration removed (0 = fixpoint reached). Only the
+    // column boundary PEs act, so both updates are strided broadcasts.
     let mut lost = machine.alloc(0u64);
-    machine.par_zip2(&mut lost, alive, &support, |pe, out, &a, &s| {
-        if pe % lay.groups == 0 {
-            *out = (a & !s).count_ones() as u64;
-        }
+    let (a, s) = (alive.as_slice(), support.as_slice());
+    machine.par_map_strided(&mut lost, lay.groups, |pe, out| {
+        *out = (a[pe] & !s[pe]).count_ones() as u64;
     });
     let removed = machine.reduce_sum(&lost);
     machine.free(lost);
-    machine.par_zip(alive, &support, |pe, a, &s| {
-        if pe % lay.groups == 0 {
-            *a &= s;
-        }
-    });
+    machine.par_map_strided(alive, lay.groups, |pe, a| *a &= s[pe]);
     machine.free(support);
 
     if removed > 0 {
-        mask_dead(machine, lay, valid, bits, alive, col_idx, row_idx);
+        mask_dead(machine, lay, tables, valid, bits, alive, col_idx, row_idx);
     }
     removed
 }
@@ -1201,6 +1309,37 @@ mod tests {
         let s_label = lay.label_index(needs, g.label_id("S").unwrap()).unwrap();
         let rm2 = lay.modifiee_index(2, Modifiee::Word(2));
         assert!(out.is_alive(lay.group(2, needs, rm2), s_label));
+    }
+
+    #[test]
+    fn init_tables_match_the_per_pe_layout_oracles() {
+        let eg = cdg_grammar::grammars::english::grammar();
+        let lex = cdg_grammar::grammars::english::lexicon(&eg);
+        let es = lex.sentence("the dog sees a cat").unwrap();
+        let (pg, ps) = example();
+        for (g, s) in [(&pg, &ps), (&eg, &es)] {
+            let lay = Layout::new(g, s);
+            let t = HostTables::new(&lay);
+            let oracle = |f: &dyn Fn(usize) -> u64| (0..lay.virt_pes()).map(f).collect::<Vec<_>>();
+            let diag = |pe| u64::from(lay.is_diagonal(pe));
+            let head = |pe| u64::from(!lay.is_diagonal(pe) && pe % lay.m == 0);
+            assert_eq!(
+                per_pe(&lay, |c, r| u64::from(t.diagonal(c, r))),
+                oracle(&diag)
+            );
+            assert_eq!(
+                per_pe(&lay, |c, r| u64::from(t.block_boundary(c, r))),
+                oracle(&head)
+            );
+            assert_eq!(
+                per_pe(&lay, |c, r| t.init_bits(c, r)),
+                oracle(&|pe| lay.init_bits(pe))
+            );
+            assert_eq!(
+                per_pe(&lay, |c, r| t.init_alive(&lay, c, r)),
+                oracle(&|pe| lay.init_alive(pe))
+            );
+        }
     }
 
     #[test]

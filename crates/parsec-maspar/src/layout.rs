@@ -143,13 +143,11 @@ impl Layout {
         self.allowed[r].iter().position(|&l| l == label)
     }
 
-    /// Is PE (cg, rg) on the invalid diagonal (same word and role — "an
-    /// arc from a role to itself", Figure 11's disabled PEs)?
-    pub fn is_diagonal(&self, pe: usize) -> bool {
-        let (cg, rg) = self.decode_pe(pe);
-        let (cw, cr, _) = self.decode_group(cg);
-        let (rw, rr, _) = self.decode_group(rg);
-        (cw, cr) == (rw, rr)
+    /// The (word, role) slot of group `g` — `w · q + r`. Two groups of
+    /// one slot meet on the invalid diagonal ("an arc from a role to
+    /// itself", Figure 11's disabled PEs).
+    pub fn slot_of(&self, g: usize) -> usize {
+        g / self.m
     }
 
     /// The constraint-evaluation binding for role value (group, label idx),
@@ -189,10 +187,56 @@ impl Layout {
         mask
     }
 
-    /// Initial submatrix for a PE: all valid label pairs set, diagonal PEs
-    /// empty (Figure 9: every role value present before unary
+    /// Every valid label of role index `r`, as an alive mask.
+    pub fn label_mask(&self, r: usize) -> u64 {
+        (1u64 << self.labels_of_role(r)) - 1
+    }
+
+    /// Initial submatrix of an off-diagonal PE whose column group has
+    /// role index `cr` and row group role index `rr`: every valid label
+    /// pair set (Figure 9: every role value present before unary
     /// propagation).
-    pub fn init_bits(&self, pe: usize) -> u64 {
+    pub fn init_submatrix(&self, cr: usize, rr: usize) -> u64 {
+        let row = self.label_mask(rr);
+        (0..self.labels_of_role(cr)).fold(0, |bits, i| bits | row << (i * self.l))
+    }
+
+    /// Segment map for Figure 12's `scanOr`: one segment per (column
+    /// group, row word-role) block — runs of `m` consecutive PEs.
+    pub fn block_segments(&self) -> SegmentMap {
+        SegmentMap::uniform(self.virt_pes(), self.m)
+    }
+
+    /// Segment map for Figure 12's `scanAnd`: one segment per column —
+    /// runs of G consecutive PEs.
+    pub fn column_segments(&self) -> SegmentMap {
+        SegmentMap::uniform(self.virt_pes(), self.groups)
+    }
+
+    /// All PEs on the invalid diagonal, ascending: each slot's m×m
+    /// block of (column group, row group) pairs.
+    pub fn diagonal_pes(&self) -> Vec<usize> {
+        let mut pes = Vec::new();
+        for cg in 0..self.groups {
+            let first = self.slot_of(cg) * self.m;
+            pes.extend((first..first + self.m).map(|rg| self.pe(cg, rg)));
+        }
+        pes
+    }
+
+    /// Per-PE oracle for the diagonal: same word and role.
+    #[cfg(test)]
+    pub(crate) fn is_diagonal(&self, pe: usize) -> bool {
+        let (cg, rg) = self.decode_pe(pe);
+        let (cw, cr, _) = self.decode_group(cg);
+        let (rw, rr, _) = self.decode_group(rg);
+        (cw, cr) == (rw, rr)
+    }
+
+    /// Per-PE oracle for the initial submatrix: all valid label pairs
+    /// set, diagonal PEs empty.
+    #[cfg(test)]
+    pub(crate) fn init_bits(&self, pe: usize) -> u64 {
         if self.is_diagonal(pe) {
             return 0;
         }
@@ -208,34 +252,16 @@ impl Layout {
         bits
     }
 
-    /// Initial alive mask for the group whose column starts at this PE
-    /// (all valid labels), or 0 for non-boundary PEs.
-    pub fn init_alive(&self, pe: usize) -> u64 {
+    /// Per-PE oracle for the initial alive mask: all valid labels at the
+    /// group's boundary PE (the first of its column), 0 elsewhere.
+    #[cfg(test)]
+    pub(crate) fn init_alive(&self, pe: usize) -> u64 {
         if pe % self.groups != 0 {
             return 0;
         }
         let g = pe / self.groups;
         let (_, r, _) = self.decode_group(g);
         (1u64 << self.labels_of_role(r)) - 1
-    }
-
-    /// Segment map for Figure 12's `scanOr`: one segment per (column
-    /// group, row word-role) block — runs of `m` consecutive PEs.
-    pub fn block_segments(&self) -> SegmentMap {
-        SegmentMap::uniform(self.virt_pes(), self.m)
-    }
-
-    /// Segment map for Figure 12's `scanAnd`: one segment per column —
-    /// runs of G consecutive PEs.
-    pub fn column_segments(&self) -> SegmentMap {
-        SegmentMap::uniform(self.virt_pes(), self.groups)
-    }
-
-    /// All PEs on the invalid diagonal.
-    pub fn diagonal_pes(&self) -> Vec<usize> {
-        (0..self.virt_pes())
-            .filter(|&pe| self.is_diagonal(pe))
-            .collect()
     }
 }
 
@@ -382,6 +408,16 @@ mod tests {
         let lay = Layout::new(&g, &s);
         // Each of the 6 word-role slots contributes an m×m diagonal block.
         assert_eq!(lay.diagonal_pes().len(), 6 * 9);
+    }
+
+    #[test]
+    fn diagonal_pes_match_the_per_pe_oracle() {
+        let (g, s) = example();
+        let lay = Layout::new(&g, &s);
+        let oracle: Vec<usize> = (0..lay.virt_pes())
+            .filter(|&pe| lay.is_diagonal(pe))
+            .collect();
+        assert_eq!(lay.diagonal_pes(), oracle);
     }
 
     #[test]

@@ -129,6 +129,46 @@ fn packed_engine_is_bit_identical_fault_free() {
     }
 }
 
+/// Fault plan seed for the virtualized English differential: two dead
+/// PEs, router corruptions and a memory flip within its horizon.
+const VIRTUALIZED_FAULT_SEED: u64 = 5;
+const VIRTUALIZED_HORIZON_OPS: u64 = 400;
+
+/// English at n = 9 on the full 16,384-PE array — virtualization factor
+/// 2, where column boundaries and submatrix rows no longer line up with
+/// 64-PE words — fault-free and under one seeded fault plan.
+#[test]
+fn packed_engine_matches_oracle_on_virtualized_english() {
+    let g = english::grammar();
+    let lex = english::lexicon(&g);
+    let s = (0..)
+        .map(|seed| corpus::english_sentence(&g, &lex, 9, seed))
+        .find(|s| !s.has_lexical_ambiguity())
+        .expect("the generator yields unambiguous sentences");
+    let full = |packed: bool, faults: Option<FaultPlan>| MasparOptions {
+        faults,
+        packed,
+        ..Default::default()
+    };
+    let name = "english n=9";
+    let packed = parse_maspar(&g, &s, &full(true, None));
+    let oracle = parse_maspar(&g, &s, &full(false, None));
+    assert_eq!(packed.virt_factor, 2, "{name}: must virtualize");
+    assert_identical(name, "fault-free", &packed, &oracle);
+
+    let phys = MachineConfig::default().phys_pes;
+    let plan = FaultPlan::seeded(VIRTUALIZED_FAULT_SEED, phys, VIRTUALIZED_HORIZON_OPS);
+    let ctx = format!("seed {VIRTUALIZED_FAULT_SEED} (plan: {plan})");
+    let p = parse_maspar_checked(&g, &s, &full(true, Some(plan.clone())))
+        .unwrap_or_else(|e| panic!("{name} {ctx}: packed failed: {e}"));
+    let o = parse_maspar_checked(&g, &s, &full(false, Some(plan)))
+        .unwrap_or_else(|e| panic!("{name} {ctx}: oracle failed: {e}"));
+    assert!(p.stats.fault_events() > 0, "{name} {ctx}: no fault fired");
+    assert_identical(name, &ctx, &p, &o);
+    assert_eq!(p.alive, packed.alive, "{name} {ctx}: recovery diverged");
+    assert_eq!(p.bits, packed.bits, "{name} {ctx}: recovery diverged");
+}
+
 #[test]
 fn packed_engine_matches_oracle_across_seeded_fault_plans() {
     let mut agreements = 0usize;
