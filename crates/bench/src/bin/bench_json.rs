@@ -11,10 +11,14 @@
 //!    model quantities (ops / parallel steps).
 //! 2. **Formal grammars** — serial vs PRAM on the bundled a^n b^n and
 //!    balanced-brackets grammars (the CI bench-smoke inputs).
-//! 3. **Batch throughput** — `parse_batch` over an n-sentence corpus at 1
-//!    thread and at N threads, with the output digest proving the results
-//!    are byte-identical; `speedup_vs_1t` on the N-thread row is the
-//!    repo's headline multi-core trajectory number.
+//! 3. **Batch throughput** — `Engine::parse_batch` over an n-sentence
+//!    corpus at 1 thread and at N threads (`--threads N`, default the
+//!    host's cores), with the output digest proving the results are
+//!    byte-identical; `speedup_vs_1t` on the N-thread row is the repo's
+//!    headline multi-core trajectory number.
+//!
+//! Families 1 and 2 run at one rayon thread and are keyed `threads = 1`,
+//! so their row keys are the same on every host.
 //!
 //! Every row carries an FNV-1a digest of its parse output, so two reports
 //! (different thread counts, different machines) can be checked for
@@ -437,7 +441,10 @@ fn main() {
     } else {
         &[4, 6, 8, 10, 12]
     };
-    rayon::set_num_threads(n_threads);
+    // §1 and §2 rows run, and are keyed, at one rayon thread so their keys
+    // do not depend on the host's core count; `--threads` drives only the
+    // §3 batch row.
+    rayon::set_num_threads(1);
     let mut kernel_speedups: Vec<f64> = Vec::new();
     let mut maspar_speedups: Vec<f64> = Vec::new();
     for &n in lengths {
@@ -451,12 +458,7 @@ fn main() {
         }
         rows.push(row_from(kernel, "english", 1, digest));
         rows.push(row_from(naive, "english", 1, digest));
-        rows.push(row_from(
-            best_of(|| pram_cdg(&g, &s)),
-            "english",
-            n_threads,
-            digest,
-        ));
+        rows.push(row_from(best_of(|| pram_cdg(&g, &s)), "english", 1, digest));
         rows.push(row_from(best_of(|| mesh_cdg(&g, &s)), "english", 1, digest));
         // Both MasPar rows carry the same digest, asserted equal between
         // the packed and scalar representations inside digest_maspar.
@@ -466,8 +468,8 @@ fn main() {
         if maspar.wall_secs > 0.0 {
             maspar_speedups.push(maspar_scalar.wall_secs / maspar.wall_secs);
         }
-        rows.push(row_from(maspar, "english", n_threads, maspar_digest));
-        rows.push(row_from(maspar_scalar, "english", n_threads, maspar_digest));
+        rows.push(row_from(maspar, "english", 1, maspar_digest));
+        rows.push(row_from(maspar_scalar, "english", 1, maspar_digest));
     }
     if !maspar_speedups.is_empty() {
         let geo =
@@ -624,12 +626,7 @@ fn main() {
             1,
             digest,
         ));
-        rows.push(row_from(
-            best_of(|| pram_cdg(g, s)),
-            name,
-            n_threads,
-            digest,
-        ));
+        rows.push(row_from(best_of(|| pram_cdg(g, s)), name, 1, digest));
     }
 
     // --- 3. Batch throughput: 1 thread vs N threads ------------------

@@ -1,33 +1,31 @@
-//! The unified engine API: one request type, one report type, one trait.
-//!
-//! Historically each backend grew its own entry point and option struct:
-//! [`crate::parse`]/[`crate::parse_with_pool`] here,
-//! `cdg_parallel::parse_pram`, and `parsec_maspar::parse_maspar_checked`
-//! with `MasparOptions`. The [`Engine`] trait collapses those three
-//! surfaces into one:
+//! The engine API: one request type, one report type, one trait.
 //!
 //! ```text
-//! ParseRequest (builder) ──> Engine::parse ──> ParseReport
-//!                       \──> Engine::parse_batch ──> BatchReport
+//! ParseRequest (builder) ──> Engine::parse_warm(&mut WarmState) ──> ParseReport
+//!                       \──> Engine::parse        (fresh WarmState)
+//!                       \──> Engine::parse_batch  (one WarmState, one loop) ──> BatchReport
 //! ```
 //!
 //! [`ParseRequest`] carries everything any backend needs — grammar,
 //! sentence, [`ParseOptions`] (filter mode, eval strategy, budget), an
 //! optional [`FaultPlan`] (MasPar engine only), a thread count hint, and
-//! the observability toggles. [`ParseReport`] is the union of the old
-//! outcome types: acceptance flags, the settled [`Network`], extracted
+//! the observability toggles. [`ParseReport`] is the union of what the
+//! backends know: acceptance flags, the settled [`Network`], extracted
 //! parses, budget/fault flags, and — when requested — the phase trace and
 //! metrics snapshot from the `obsv` layer.
 //!
-//! The old free functions remain as thin wrappers (see their docs) so no
-//! caller breaks; new code should construct a request and pick an engine.
+//! Each engine writes exactly one parse body, [`Engine::parse_warm`].
+//! A cold [`Engine::parse`] is that body on a fresh [`WarmState`] (which
+//! allocates nothing until used), and [`Engine::parse_batch`] is a loop
+//! over it sharing one `WarmState` and one [`ObsvScope`]. The free
+//! function [`crate::parse`] remains as the bare pipeline the oracles and
+//! tests compare against.
 
-use crate::batch::BatchOutcome;
 use crate::consistency::BmmScratch;
-use crate::error::{EngineError, ParseBudget};
+use crate::error::EngineError;
 use crate::extract::PrecedenceGraph;
 use crate::kernel::KernelScratch;
-use crate::network::{EvalStrategy, FilterStrategy, NetSlab, Network};
+use crate::network::{NetSlab, Network};
 use crate::parser::{parse_with_state, FilterMode, ParseOptions};
 use crate::pool::{ArcPool, PoolStats};
 use crate::stats::NetStats;
@@ -113,15 +111,11 @@ impl<'g> ParseRequest<'g> {
     /// a config key is interpreted exactly once (in [`crate::config`]).
     pub fn with_config(grammar: &'g Grammar, config: &EngineConfig) -> Self {
         ParseRequest {
-            grammar,
-            sentence: None,
             options: config.parse_options(),
             faults: config.faults.clone(),
             threads: config.threads,
-            trace: false,
-            metrics: false,
             max_parses: config.max_parses,
-            compiled: None,
+            ..ParseRequest::new(grammar)
         }
     }
 
@@ -137,21 +131,6 @@ impl<'g> ParseRequest<'g> {
 
     pub fn filter(mut self, filter: FilterMode) -> Self {
         self.options.filter = filter;
-        self
-    }
-
-    pub fn eval(mut self, eval: EvalStrategy) -> Self {
-        self.options.eval = eval;
-        self
-    }
-
-    pub fn filter_strategy(mut self, strategy: FilterStrategy) -> Self {
-        self.options.filter_strategy = strategy;
-        self
-    }
-
-    pub fn budget(mut self, budget: ParseBudget) -> Self {
-        self.options.budget = budget;
         self
     }
 
@@ -187,24 +166,41 @@ impl<'g> ParseRequest<'g> {
         self
     }
 
-    /// The sentence, or the typed error every engine returns for a
-    /// sentence-less single-parse request.
-    pub fn require_sentence(&self) -> Result<&Sentence, EngineError> {
-        self.sentence.as_ref().ok_or_else(|| {
+    /// The sentence of a single-parse request on `engine`, after the
+    /// checks every engine shares: a sentence is present, and a fault
+    /// plan only reaches an engine with a fault model. Each
+    /// [`Engine::parse_warm`] starts here.
+    pub fn admit<E: Engine + ?Sized>(&self, engine: &E) -> Result<&Sentence, EngineError> {
+        let sentence = self.sentence.as_ref().ok_or_else(|| {
             EngineError::GrammarError(
                 "ParseRequest has no sentence; call .sentence(...) or use parse_batch".into(),
             )
-        })
+        })?;
+        self.reject_faults(engine)?;
+        Ok(sentence)
     }
 
-    /// The typed rejection host engines give a fault-carrying request.
-    pub fn reject_faults(&self, engine: &str) -> Result<(), EngineError> {
-        if self.faults.is_some() {
+    /// The typed rejection an engine without a fault model
+    /// ([`Engine::fault_model`]) gives a fault-carrying request.
+    pub fn reject_faults<E: Engine + ?Sized>(&self, engine: &E) -> Result<(), EngineError> {
+        if self.faults.is_some() && !engine.fault_model() {
             return Err(EngineError::GrammarError(format!(
-                "engine `{engine}` has no fault model; fault injection requires the maspar engine"
+                "engine `{}` has no fault model; fault injection requires the maspar engine",
+                engine.name()
             )));
         }
         Ok(())
+    }
+
+    /// This request for one sentence of a batch: the batch owns the obsv
+    /// scope, so the per-sentence request arms nothing that could take
+    /// the batch's trace or reset its metrics.
+    pub fn batch_item(&self, sentence: &Sentence) -> Self {
+        let mut item = self.clone();
+        item.sentence = Some(sentence.clone());
+        item.trace = false;
+        item.metrics = false;
+        item
     }
 }
 
@@ -226,8 +222,8 @@ pub struct ParseReport<'g> {
     pub locally_consistent: bool,
     /// Filtering passes (consistency-maintenance iterations) run.
     pub filter_passes: usize,
-    /// `Some` when a [`ParseBudget`] limit cut the parse short; the network
-    /// is then a usable partial result.
+    /// `Some` when a [`crate::ParseBudget`] limit cut the parse short; the
+    /// network is then a usable partial result.
     pub degraded: Option<EngineError>,
     /// Whether fault detection/recovery had to intervene (MasPar engine;
     /// always `false` on the host engines).
@@ -268,6 +264,49 @@ impl ParseReport<'_> {
     }
 }
 
+/// Owned per-sentence row of a batch — everything the batch callers (CLI,
+/// bench harness, tests) consume, detached from the network so it can
+/// cross threads and outlive the [`WarmState`] the network came from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchOutcome {
+    /// Constructive acceptance: at least one complete parse exists.
+    pub accepted: bool,
+    /// More than one role value survived somewhere.
+    pub ambiguous: bool,
+    /// The paper's necessary acceptance condition.
+    pub roles_nonempty: bool,
+    /// Whether filtering reached the fixpoint.
+    pub locally_consistent: bool,
+    /// Filtering passes run.
+    pub filter_passes: usize,
+    /// Whether a [`crate::ParseBudget`] limit cut the parse short, or the
+    /// engine refused the sentence ([`BatchOutcome::refused`]).
+    pub degraded: bool,
+    /// Total alive role values in the settled network — a cheap digest of
+    /// the full network state, used by the determinism suite.
+    pub total_alive: usize,
+    /// Up to `max_parses` precedence graphs, in extraction order.
+    pub parses: Vec<PrecedenceGraph>,
+}
+
+impl BatchOutcome {
+    /// The row for a sentence its engine refused with an error (the
+    /// MasPar layout rejects lexical ambiguity, for one): not accepted,
+    /// degraded, nothing alive.
+    pub fn refused() -> Self {
+        BatchOutcome {
+            accepted: false,
+            ambiguous: false,
+            roles_nonempty: false,
+            locally_consistent: false,
+            filter_passes: 0,
+            degraded: true,
+            total_alive: 0,
+            parses: Vec::new(),
+        }
+    }
+}
+
 /// Result of [`Engine::parse_batch`]: per-sentence summaries plus
 /// batch-level observability.
 #[derive(Debug)]
@@ -289,10 +328,6 @@ impl BatchReport {
         self.outcomes.iter().filter(|o| o.accepted).count()
     }
 
-    pub fn degraded(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.degraded).count()
-    }
-
     /// Per-phase `(name, total dur_ns, count)` aggregated over every
     /// sentence of the batch, from the trace — empty when the batch ran
     /// untraced. Concurrent workers sum, so totals may exceed `wall`.
@@ -304,7 +339,8 @@ impl BatchReport {
 }
 
 /// One parsing backend. Implemented by [`Sequential`] (this crate),
-/// `cdg_parallel::Pram`, and `parsec_maspar::Maspar`.
+/// `cdg_parallel::Pram`, and `parsec_maspar::Maspar`, each of which writes
+/// only [`Engine::parse_warm`]; cold parses and batches are provided.
 ///
 /// Span names are shared across implementations so traces are comparable
 /// engine-to-engine (see DESIGN.md §11): `parse` (root), `network_build`,
@@ -315,40 +351,104 @@ pub trait Engine {
     /// Short stable name, also the `engine` field of trace documents.
     fn name(&self) -> &'static str;
 
-    /// Parse `req.sentence` and report everything the engine knows.
-    fn parse<'g>(&self, req: &ParseRequest<'g>) -> Result<ParseReport<'g>, EngineError>;
-
-    /// Parse a slice of sentences under one request (`req.sentence` is
-    /// ignored), returning per-sentence summaries plus batch observability.
-    fn parse_batch(
-        &self,
-        sentences: &[Sentence],
-        req: &ParseRequest<'_>,
-    ) -> Result<BatchReport, EngineError>;
+    /// Whether the engine runs under a [`FaultPlan`]. Engines without a
+    /// fault model refuse a fault-carrying request with one typed
+    /// [`EngineError::GrammarError`] (see [`ParseRequest::reject_faults`]).
+    fn fault_model(&self) -> bool {
+        false
+    }
 
     /// Parse `req.sentence` reusing the caller's [`WarmState`] — pooled
     /// arc matrices, the generation-stamped kernel scratch, and the BMM
-    /// tile scratch survive from the previous request on this state.
-    /// Results are bit-identical to [`Engine::parse`]; the default simply
-    /// delegates there for engines with no warm path (PRAM's rayon workers
-    /// and the MasPar simulator keep their own per-call state).
+    /// tile scratch survive from the previous request on this state
+    /// (engines with per-call state of their own may ignore it). Results
+    /// are bit-identical whatever the state has served before. The
+    /// report's network keeps its allocations until the caller hands it
+    /// back with [`WarmState::recycle_report`].
     fn parse_warm<'g>(
         &self,
         req: &ParseRequest<'g>,
         warm: &mut WarmState,
-    ) -> Result<ParseReport<'g>, EngineError> {
-        let _ = warm;
-        self.parse(req)
+    ) -> Result<ParseReport<'g>, EngineError>;
+
+    /// Parse `req.sentence` cold: [`Engine::parse_warm`] on a fresh
+    /// [`WarmState`].
+    fn parse<'g>(&self, req: &ParseRequest<'g>) -> Result<ParseReport<'g>, EngineError> {
+        self.parse_warm(req, &mut WarmState::new())
+    }
+
+    /// Parse a slice of sentences under one request (`req.sentence` is
+    /// ignored), returning per-sentence summaries plus batch
+    /// observability. The sentences run in order through
+    /// [`Engine::parse_warm`] on one [`WarmState`] under one
+    /// [`ObsvScope`]; a sentence the engine refuses becomes
+    /// [`BatchOutcome::refused`] rather than failing its siblings. A fault
+    /// plan on an engine without a fault model refuses the whole batch.
+    fn parse_batch(
+        &self,
+        sentences: &[Sentence],
+        req: &ParseRequest<'_>,
+    ) -> Result<BatchReport, EngineError> {
+        run_batch(self, req, || {
+            let mut warm = WarmState::new();
+            sentences
+                .iter()
+                .map(|s| summarize_warm(self, &req.batch_item(s), &mut warm))
+                .collect()
+        })
+    }
+}
+
+/// The shell around every batch: the fault-model check (once, for the
+/// whole batch), one [`ObsvScope`], the wall clock, and the
+/// `batch.sentences` counter, around `rows`, which produces one
+/// [`BatchOutcome`] per sentence in input order.
+pub fn run_batch<E: Engine + ?Sized>(
+    engine: &E,
+    req: &ParseRequest<'_>,
+    rows: impl FnOnce() -> Vec<BatchOutcome>,
+) -> Result<BatchReport, EngineError> {
+    req.reject_faults(engine)?;
+    let scope = ObsvScope::begin(req);
+    let start = Instant::now();
+    let outcomes = rows();
+    obsv::counter_add("batch.sentences", outcomes.len() as u64);
+    let (trace, metrics) = scope.finish();
+    Ok(BatchReport {
+        engine: engine.name(),
+        outcomes,
+        wall: start.elapsed(),
+        trace,
+        metrics,
+    })
+}
+
+/// One batch row: parse `req` on `warm`, summarize the report, and hand its
+/// allocations back to `warm` for the next sentence.
+pub fn summarize_warm<E: Engine + ?Sized>(
+    engine: &E,
+    req: &ParseRequest<'_>,
+    warm: &mut WarmState,
+) -> BatchOutcome {
+    match engine.parse_warm(req, warm) {
+        Ok(mut report) => {
+            let row = report.summary();
+            warm.recycle_report(&mut report);
+            row
+        }
+        Err(_) => BatchOutcome::refused(),
     }
 }
 
 /// Per-worker state that survives across requests in warm serving: the
 /// [`ArcPool`] of recycled arc matrices, the generation-stamped
-/// [`KernelScratch`], and the [`BmmScratch`] tile buffers. One request's
-/// buffers become the next request's free list — steady-state serving
+/// [`KernelScratch`], and the [`BmmScratch`] tile buffers. A request's
+/// buffers become the next request's free list once its report is handed
+/// back with [`WarmState::recycle_report`] — steady-state serving
 /// allocates nothing per parse. Reset is by generation stamp (kernel) and
 /// explicit zeroing on acquire (pool), so reuse cannot leak state between
-/// requests and results stay bit-identical to a cold parse.
+/// requests and results stay bit-identical to a cold parse. A new state
+/// allocates nothing, so a cold parse is a warm parse on a fresh state.
 #[derive(Default)]
 pub struct WarmState {
     pool: ArcPool,
@@ -388,9 +488,13 @@ impl WarmState {
     /// Call once the response has been rendered — the report's network is
     /// left empty (in particular [`ParseReport::summary`] would read
     /// zero alive values afterwards).
+    ///
+    /// Counts the matrices handed back as `pool.releases` (a no-op while
+    /// metrics are disabled; inside a batch, the batch's metrics).
     pub fn recycle_report(&mut self, report: &mut ParseReport<'_>) {
-        report.network.reclaim_arcs(&mut self.pool);
-        report.network.reclaim_slab(&mut self.slab);
+        let before = self.pool.stats.releases;
+        report.network.reclaim(&mut self.pool, &mut self.slab);
+        obsv::counter_add("pool.releases", (self.pool.stats.releases - before) as u64);
     }
 }
 
@@ -488,13 +592,6 @@ pub fn record_net_stats(stats: &NetStats) {
     obsv::counter_add("bmm.words", stats.bmm_words as u64);
 }
 
-/// Feed an [`ArcPool`]'s counters into the registry.
-pub fn record_pool_stats(stats: &PoolStats) {
-    obsv::counter_add("pool.acquires", stats.acquires as u64);
-    obsv::counter_add("pool.recycles", stats.reuses as u64);
-    obsv::counter_add("pool.releases", stats.releases as u64);
-}
-
 /// The sequential engine (the paper's §1.4 pipeline).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sequential;
@@ -504,91 +601,18 @@ impl Engine for Sequential {
         "serial"
     }
 
-    fn parse<'g>(&self, req: &ParseRequest<'g>) -> Result<ParseReport<'g>, EngineError> {
-        let sentence = req.require_sentence()?;
-        req.reject_faults(self.name())?;
-        let scope = ObsvScope::begin(req);
-        let start = Instant::now();
-        let mut pool = ArcPool::new();
-        let (outcome, parses) = {
-            let _root = obsv::span("parse");
-            let outcome = parse_with_state(
-                req.grammar,
-                sentence,
-                req.options,
-                req.compiled.clone(),
-                &mut pool,
-                &mut KernelScratch::new(),
-                &mut BmmScratch::default(),
-                &mut NetSlab::default(),
-            );
-            let parses = outcome.parses(req.max_parses);
-            (outcome, parses)
-        };
-        record_net_stats(&outcome.network.stats);
-        record_pool_stats(&pool.stats);
-        obsv::histogram_record("filter.passes", outcome.filter_passes as f64);
-        let (trace, metrics) = scope.finish();
-        Ok(ParseReport {
-            engine: self.name(),
-            accepted: outcome.accepted(),
-            ambiguous: outcome.ambiguous(),
-            roles_nonempty: outcome.roles_nonempty,
-            locally_consistent: outcome.locally_consistent,
-            filter_passes: outcome.filter_passes,
-            degraded: outcome.degraded,
-            fault_recovered: false,
-            parses,
-            wall: start.elapsed(),
-            machine_stats: None,
-            estimated_seconds: None,
-            trace,
-            metrics,
-            network: outcome.network,
-        })
-    }
-
-    fn parse_batch(
-        &self,
-        sentences: &[Sentence],
-        req: &ParseRequest<'_>,
-    ) -> Result<BatchReport, EngineError> {
-        req.reject_faults(self.name())?;
-        let scope = ObsvScope::begin(req);
-        let start = Instant::now();
-        let mut pool = ArcPool::new();
-        let outcomes = crate::batch::parse_batch_with_pool(
-            req.grammar,
-            sentences,
-            req.options,
-            req.max_parses,
-            &mut pool,
-        );
-        record_pool_stats(&pool.stats);
-        obsv::counter_add("batch.sentences", sentences.len() as u64);
-        let (trace, metrics) = scope.finish();
-        Ok(BatchReport {
-            engine: self.name(),
-            outcomes,
-            wall: start.elapsed(),
-            trace,
-            metrics,
-        })
-    }
-
     fn parse_warm<'g>(
         &self,
         req: &ParseRequest<'g>,
         warm: &mut WarmState,
     ) -> Result<ParseReport<'g>, EngineError> {
-        let sentence = req.require_sentence()?;
-        req.reject_faults(self.name())?;
+        let sentence = req.admit(self)?;
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
-        let pool_reuses_before = warm.pool.stats.reuses;
+        let pool_before = warm.pool.stats;
         let bmm_reuses_before = warm.bmm.reuses();
         let slab_reuses_before = warm.slab.reuses();
-        let (mut outcome, parses) = {
+        let (outcome, parses, accepted) = {
             let _root = obsv::span("parse");
             let outcome = parse_with_state(
                 req.grammar,
@@ -601,31 +625,28 @@ impl Engine for Sequential {
                 &mut warm.slab,
             );
             let parses = outcome.parses(req.max_parses);
-            (outcome, parses)
+            // The acceptance search is extraction work: keep its span
+            // under this request's root.
+            let accepted = outcome.accepted();
+            (outcome, parses, accepted)
         };
-        // Acceptance reads the arc matrices, so settle it before handing
-        // them back to the warm pool for the next request.
-        let accepted = outcome.accepted();
-        let ambiguous = outcome.ambiguous();
-        outcome.network.reclaim_arcs(&mut warm.pool);
+        let pool = warm.pool.stats.since(&pool_before);
         if warm.parses > 0 {
-            obsv::counter_add(
-                "warm.pool.reuses",
-                (warm.pool.stats.reuses - pool_reuses_before) as u64,
-            );
+            obsv::counter_add("warm.pool.reuses", pool.reuses as u64);
             obsv::counter_add("warm.bmm.reuses", warm.bmm.reuses() - bmm_reuses_before);
             obsv::counter_add("warm.slab.reuses", warm.slab.reuses() - slab_reuses_before);
             obsv::counter_add("warm.scratch.reuses", 1);
         }
         warm.parses += 1;
         record_net_stats(&outcome.network.stats);
-        record_pool_stats(&warm.pool.stats);
+        obsv::counter_add("pool.acquires", pool.acquires as u64);
+        obsv::counter_add("pool.recycles", pool.reuses as u64);
         obsv::histogram_record("filter.passes", outcome.filter_passes as f64);
         let (trace, metrics) = scope.finish();
         Ok(ParseReport {
             engine: self.name(),
             accepted,
-            ambiguous,
+            ambiguous: outcome.ambiguous(),
             roles_nonempty: outcome.roles_nonempty,
             locally_consistent: outcome.locally_consistent,
             filter_passes: outcome.filter_passes,
@@ -648,7 +669,8 @@ mod tests {
     use cdg_grammar::grammars::{english, paper};
     use std::sync::Mutex;
 
-    // The obsv layer is process-global; tests that arm it are serialized.
+    // The obsv layer is process-global; tests that arm it, or that parse
+    // through an engine (which records into it while armed), serialize.
     static OBSV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
@@ -676,6 +698,7 @@ mod tests {
 
     #[test]
     fn report_matches_the_legacy_entry_point() {
+        let _l = OBSV_LOCK.lock().unwrap();
         let g = english::grammar();
         let lex = english::lexicon(&g);
         let s = lex.sentence("the dog runs in the park").unwrap();
@@ -734,6 +757,7 @@ mod tests {
 
     #[test]
     fn warm_parse_matches_cold_and_reuses_buffers() {
+        let _l = OBSV_LOCK.lock().unwrap();
         let g = english::grammar();
         let lex = english::lexicon(&g);
         let compiled = resolve_compiled(&g);
@@ -747,7 +771,7 @@ mod tests {
                 .sentence(s)
                 .max_parses(10)
                 .compiled(Arc::clone(&compiled));
-            let hot = Sequential.parse_warm(&req, &mut warm).unwrap();
+            let mut hot = Sequential.parse_warm(&req, &mut warm).unwrap();
             assert_eq!(cold.accepted, hot.accepted);
             assert_eq!(cold.ambiguous, hot.ambiguous);
             assert_eq!(cold.filter_passes, hot.filter_passes);
@@ -757,12 +781,91 @@ mod tests {
                 hot.network.total_alive(),
                 "warm reuse must be bit-identical to a cold parse"
             );
+            // A report keeps its arcs until handed back; only then can the
+            // next request on this state reuse them.
+            assert!(hot.network.arcs_ready());
+            warm.recycle_report(&mut hot);
         }
         assert_eq!(warm.parses(), 3);
         assert!(
             warm.pool_stats().reuses > 0,
             "second request should re-acquire the first request's arcs"
         );
+    }
+
+    #[test]
+    fn warm_request_metrics_count_only_that_request() {
+        let _l = OBSV_LOCK.lock().unwrap();
+        let g = english::grammar();
+        let lex = english::lexicon(&g);
+        let s = lex.sentence("the big dog sees a cat in the park").unwrap();
+        let req = ParseRequest::new(&g).sentence(s).metrics(true);
+        let cold = Sequential.parse(&req).unwrap().metrics.unwrap();
+        let cold_acquires = cold.counter("pool.acquires").unwrap();
+        assert!(cold_acquires > 0);
+        let mut warm = WarmState::new();
+        for i in 0..3 {
+            let mut report = Sequential.parse_warm(&req, &mut warm).unwrap();
+            let snap = report.metrics.take().unwrap();
+            assert_eq!(
+                snap.counter("pool.acquires"),
+                Some(cold_acquires),
+                "request {i} on a warm state must count its own acquires only"
+            );
+            if i > 0 {
+                assert_eq!(snap.counter("warm.pool.reuses"), Some(cold_acquires));
+            }
+            warm.recycle_report(&mut report);
+        }
+    }
+
+    fn corpus(texts: &[&str]) -> (Grammar, Vec<Sentence>) {
+        let g = english::grammar();
+        let lex = english::lexicon(&g);
+        let sentences = texts.iter().map(|t| lex.sentence(t).unwrap()).collect();
+        (g, sentences)
+    }
+
+    #[test]
+    fn batch_matches_per_sentence_parses() {
+        let _l = OBSV_LOCK.lock().unwrap();
+        let (g, sentences) = corpus(&[
+            "the dog runs",
+            "dog the runs",
+            "the dog runs in the park",
+            "the watch runs",
+            "she sleeps",
+        ]);
+        let req = ParseRequest::new(&g).max_parses(100);
+        let batch = Sequential.parse_batch(&sentences, &req).unwrap();
+        assert_eq!(batch.outcomes.len(), sentences.len());
+        for (s, b) in sentences.iter().zip(&batch.outcomes) {
+            let solo = Sequential.parse(&req.batch_item(s)).unwrap();
+            assert_eq!(b, &solo.summary());
+        }
+    }
+
+    #[test]
+    fn pool_actually_recycles_across_the_batch() {
+        let _l = OBSV_LOCK.lock().unwrap();
+        let (g, sentences) = corpus(&["the dog runs", "the dog sees the cat", "she sleeps"]);
+        let req = ParseRequest::new(&g).max_parses(0);
+        let mut warm = WarmState::new();
+        for s in &sentences {
+            summarize_warm(&Sequential, &req.batch_item(s), &mut warm);
+        }
+        // Sentence 1 fills the pool; sentences 2..n draw from it.
+        let pool = warm.pool_stats();
+        assert!(pool.reuses > 0, "no buffers were reused");
+        assert_eq!(pool.acquires, pool.releases);
+        assert!(warm.pool.idle_buffers() > 0);
+    }
+
+    #[test]
+    fn empty_batch() {
+        let (g, _) = corpus(&[]);
+        let report = Sequential.parse_batch(&[], &ParseRequest::new(&g)).unwrap();
+        assert!(report.outcomes.is_empty());
     }
 
     #[test]

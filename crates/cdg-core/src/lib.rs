@@ -30,7 +30,6 @@
 //! the n⁴ shape independently of wall-clock noise.
 
 pub mod api;
-pub mod batch;
 pub mod config;
 pub mod consistency;
 pub mod dot;
@@ -47,9 +46,9 @@ pub mod stats;
 pub mod wire;
 
 pub use api::{
-    resolve_compiled, BatchReport, Engine, ParseReport, ParseRequest, Sequential, WarmState,
+    resolve_compiled, BatchOutcome, BatchReport, Engine, ParseReport, ParseRequest, Sequential,
+    WarmState,
 };
-pub use batch::{parse_batch, parse_batch_text, parse_batch_with_pool, BatchOutcome, TextLine};
 pub use config::{ConfigError, EngineConfig, EngineConfigBuilder, SloClass, FAULT_HORIZON_OPS};
 pub use consistency::{
     arc_generation_deltas, arc_generation_sweep, arc_support_counts, filter_bmm,
@@ -58,9 +57,7 @@ pub use consistency::{
 pub use error::{BudgetResource, EngineError, ParseBudget};
 pub use extract::PrecedenceGraph;
 pub use network::{EvalStrategy, FilterStrategy, NetParts, NetSlab, Network, SlotId};
-pub use parser::{
-    parse, parse_with_pool, parse_with_state, FilterMode, ParseOptions, ParseOutcome,
-};
+pub use parser::{parse, FilterMode, ParseOptions, ParseOutcome};
 pub use pool::{ArcPool, PoolStats};
 pub use relax::{parse_relaxed, RelaxLadder, RelaxOutcome};
 pub use stats::NetStats;

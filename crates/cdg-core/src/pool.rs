@@ -25,10 +25,25 @@ pub struct PoolStats {
     pub releases: usize,
 }
 
+impl PoolStats {
+    /// The traffic since `earlier`, a snapshot of the same pool.
+    pub fn since(&self, earlier: &PoolStats) -> PoolStats {
+        PoolStats {
+            acquires: self.acquires - earlier.acquires,
+            reuses: self.reuses - earlier.reuses,
+            releases: self.releases - earlier.releases,
+        }
+    }
+}
+
 /// A free-list of `u64` word buffers recycled between arc matrices.
 #[derive(Debug, Default)]
 pub struct ArcPool {
     bufs: Vec<Vec<u64>>,
+    /// Matrices acquired here and not yet released: the most buffers the
+    /// free-list takes back, so matrices built elsewhere (the P-RAM and
+    /// MasPar networks a warm state recycles) cannot grow it without bound.
+    lent: usize,
     pub stats: PoolStats,
 }
 
@@ -41,6 +56,7 @@ impl ArcPool {
     /// one is available.
     pub fn acquire(&mut self, rows: usize, cols: usize) -> BitMatrix {
         self.stats.acquires += 1;
+        self.lent += 1;
         match self.bufs.pop() {
             Some(buf) => {
                 self.stats.reuses += 1;
@@ -50,9 +66,14 @@ impl ArcPool {
         }
     }
 
-    /// Return a matrix's backing buffer to the free-list.
+    /// Return a matrix's backing buffer to the free-list, or drop it when
+    /// every matrix this pool lent out is already back.
     pub fn release(&mut self, m: BitMatrix) {
         self.stats.releases += 1;
+        if self.lent == 0 {
+            return;
+        }
+        self.lent -= 1;
         let words = m.into_words();
         if words.capacity() > 0 {
             self.bufs.push(words);
@@ -88,6 +109,17 @@ mod tests {
         let m3 = pool.acquire(4, 200);
         assert_eq!(m3, BitMatrix::zeros(4, 200));
         assert_eq!(pool.stats.reuses, 2);
+    }
+
+    #[test]
+    fn matrices_not_lent_here_are_dropped() {
+        let mut pool = ArcPool::new();
+        pool.release(BitMatrix::zeros(9, 9));
+        assert_eq!(pool.idle_buffers(), 0);
+        let m = pool.acquire(9, 9);
+        pool.release(m);
+        pool.release(BitMatrix::zeros(9, 9));
+        assert_eq!(pool.idle_buffers(), 1, "the free-list outgrew what it lent");
     }
 
     #[test]

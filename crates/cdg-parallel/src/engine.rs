@@ -1,19 +1,23 @@
 //! The [`Engine`] implementation for the P-RAM backend.
 
 use crate::pram::parse_pram_compiled;
-use cdg_core::api::{record_net_stats, BatchReport, Engine, ObsvScope, ParseReport, ParseRequest};
+use cdg_core::api::{
+    record_net_stats, run_batch, summarize_warm, BatchReport, Engine, ObsvScope, ParseReport,
+    ParseRequest, Sequential, WarmState,
+};
 use cdg_core::consistency::is_locally_consistent;
 use cdg_core::EngineError;
 use cdg_grammar::Sentence;
+use rayon::prelude::*;
 use std::time::Instant;
 
 /// The CRCW-P-RAM engine (§2.1): intra-sentence parallelism for single
 /// parses, sentence-parallel fan-out for batches.
 ///
 /// `ParseRequest::threads` resizes the global rayon pool (like the CLI's
-/// `--threads`); `ParseRequest::budget` is not enforced by this engine —
-/// the P-RAM pipeline has no budget checkpoints — so reports never come
-/// back degraded.
+/// `--threads`). A single parse runs the P-RAM pipeline, which keeps its
+/// own per-call state (the [`WarmState`] goes unused) and has no budget
+/// checkpoints, so those reports never come back degraded.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Pram;
 
@@ -22,20 +26,24 @@ impl Engine for Pram {
         "pram"
     }
 
-    fn parse<'g>(&self, req: &ParseRequest<'g>) -> Result<ParseReport<'g>, EngineError> {
-        let sentence = req.require_sentence()?;
-        req.reject_faults(self.name())?;
+    fn parse_warm<'g>(
+        &self,
+        req: &ParseRequest<'g>,
+        _warm: &mut WarmState,
+    ) -> Result<ParseReport<'g>, EngineError> {
+        let sentence = req.admit(self)?;
         if let Some(threads) = req.threads {
             rayon::set_num_threads(threads);
         }
         let scope = ObsvScope::begin(req);
         let start = Instant::now();
-        let (outcome, parses) = {
+        let (outcome, parses, accepted) = {
             let _root = obsv::span("parse");
             let outcome =
                 parse_pram_compiled(req.grammar, sentence, req.options, req.compiled.clone());
             let parses = outcome.parses(req.max_parses);
-            (outcome, parses)
+            let accepted = outcome.accepted();
+            (outcome, parses, accepted)
         };
         record_net_stats(&outcome.network.stats);
         obsv::counter_add("pram.steps", outcome.stats.steps as u64);
@@ -45,7 +53,7 @@ impl Engine for Pram {
         let (trace, metrics) = scope.finish();
         Ok(ParseReport {
             engine: self.name(),
-            accepted: outcome.accepted(),
+            accepted,
             ambiguous: outcome.network.slots().iter().any(|s| s.alive_count() > 1),
             roles_nonempty: outcome.roles_nonempty,
             locally_consistent,
@@ -62,27 +70,27 @@ impl Engine for Pram {
         })
     }
 
+    /// Sentence-parallel: each worker runs the sequential pipeline on its
+    /// own [`WarmState`]. Chunk boundaries depend only on the batch length
+    /// (the shim-rayon contract), so the rows are byte-identical to
+    /// [`Sequential`]'s batch at any thread count.
     fn parse_batch(
         &self,
         sentences: &[Sentence],
         req: &ParseRequest<'_>,
     ) -> Result<BatchReport, EngineError> {
-        req.reject_faults(self.name())?;
-        if let Some(threads) = req.threads {
-            rayon::set_num_threads(threads);
-        }
-        let scope = ObsvScope::begin(req);
-        let start = Instant::now();
-        let outcomes =
-            crate::batch::parse_batch(req.grammar, sentences, req.options, req.max_parses);
-        obsv::counter_add("batch.sentences", sentences.len() as u64);
-        let (trace, metrics) = scope.finish();
-        Ok(BatchReport {
-            engine: self.name(),
-            outcomes,
-            wall: start.elapsed(),
-            trace,
-            metrics,
+        run_batch(self, req, || {
+            if let Some(threads) = req.threads {
+                rayon::set_num_threads(threads);
+            }
+            // Each worker's per-sentence `parse` roots merge into the
+            // global trace buffer on drop (see `obsv::span`).
+            sentences
+                .par_iter()
+                .map_init(WarmState::new, |warm, s| {
+                    summarize_warm(&Sequential, &req.batch_item(s), warm)
+                })
+                .collect()
         })
     }
 }
@@ -90,8 +98,6 @@ impl Engine for Pram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdg_core::api::Sequential;
-    use cdg_core::parser::ParseOptions;
     use cdg_grammar::grammars::{english, paper};
     use std::sync::Mutex;
 
@@ -138,18 +144,33 @@ mod tests {
     }
 
     #[test]
-    fn batch_via_trait_matches_free_function() {
+    fn parallel_batch_matches_sequential_batch() {
         let g = english::grammar();
         let lex = english::lexicon(&g);
-        let sentences: Vec<_> = ["the dog runs", "dog the runs", "she sleeps"]
-            .iter()
-            .map(|t| lex.sentence(t).unwrap())
-            .collect();
-        let free = crate::batch::parse_batch(&g, &sentences, ParseOptions::default(), 10);
-        let report = Pram
-            .parse_batch(&sentences, &ParseRequest::new(&g).max_parses(10))
-            .unwrap();
-        assert_eq!(report.outcomes, free);
-        assert_eq!(report.accepted(), 2);
+        let sentences: Vec<Sentence> = [
+            "the dog runs",
+            "dog the runs",
+            "the dog runs in the park",
+            "the watch runs",
+            "she sleeps",
+            "the big red dog sees a small cat",
+            "they often watch dogs near the table",
+            "runs sees",
+        ]
+        .iter()
+        .map(|t| lex.sentence(t).unwrap())
+        .collect();
+
+        let req = ParseRequest::new(&g).max_parses(50);
+        let seq = Sequential.parse_batch(&sentences, &req).unwrap().outcomes;
+        assert_eq!(seq.iter().filter(|o| o.accepted).count(), 6);
+        for threads in [1usize, 2, 8] {
+            let par = Pram
+                .parse_batch(&sentences, &req.clone().threads(threads))
+                .unwrap()
+                .outcomes;
+            assert_eq!(seq, par, "batch diverged at {threads} threads");
+        }
+        rayon::set_num_threads(0);
     }
 }

@@ -23,13 +23,11 @@
 //! snapshot and applies them afterwards, so results are identical to the
 //! sequential engine (tested, including proptest equivalence).
 
-pub mod batch;
 pub mod engine;
 pub mod extract_par;
 pub mod mesh;
 pub mod pram;
 
-pub use batch::parse_batch;
 pub use engine::Pram;
 pub use extract_par::precedence_graphs_par;
 pub use mesh::{MeshCdg, MeshStats};

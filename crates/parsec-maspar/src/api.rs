@@ -1,29 +1,12 @@
 //! The [`Engine`] implementation for the simulated MasPar MP-1 backend.
 
 use crate::engine::{parse_maspar_compiled, MasparOptions};
-use cdg_core::api::{BatchReport, Engine, ObsvScope, ParseReport, ParseRequest};
-use cdg_core::batch::BatchOutcome;
+use cdg_core::api::{Engine, ObsvScope, ParseReport, ParseRequest, WarmState};
 use cdg_core::consistency::is_locally_consistent;
 use cdg_core::extract::precedence_graphs;
 use cdg_core::parser::FilterMode;
 use cdg_core::EngineError;
-use cdg_grammar::Sentence;
 use std::time::Instant;
-
-/// The summary a rejected sentence contributes to a batch: not accepted,
-/// degraded, nothing alive.
-fn rejected_outcome() -> BatchOutcome {
-    BatchOutcome {
-        accepted: false,
-        ambiguous: false,
-        roles_nonempty: false,
-        locally_consistent: false,
-        filter_passes: 0,
-        degraded: true,
-        total_alive: 0,
-        parses: Vec::new(),
-    }
-}
 
 /// The MasPar MP-1 engine (§2.2): one SIMD parse per sentence on the
 /// simulated PE array, with fault detection/recovery and budget
@@ -76,14 +59,28 @@ impl Maspar {
         }
         opts
     }
+}
 
-    /// One checked parse plus host readback; shared by [`Engine::parse`]
-    /// and [`Engine::parse_batch`] (which arm the obsv scope themselves).
-    fn run_core<'g>(
+impl Engine for Maspar {
+    fn name(&self) -> &'static str {
+        "maspar"
+    }
+
+    fn fault_model(&self) -> bool {
+        true
+    }
+
+    /// One checked SIMD parse plus host readback; the simulator keeps its
+    /// own per-call state, so the [`WarmState`] goes unused. In a batch, a
+    /// sentence the machine cannot take (unsupported layout, blown budget
+    /// pre-check, unrecoverable faults) becomes a refused row.
+    fn parse_warm<'g>(
         &self,
         req: &ParseRequest<'g>,
-        sentence: &Sentence,
+        _warm: &mut WarmState,
     ) -> Result<ParseReport<'g>, EngineError> {
+        let sentence = req.admit(self)?;
+        let scope = ObsvScope::begin(req);
         let opts = self.options_for(req);
         let start = Instant::now();
         let (out, network, parses) = {
@@ -122,6 +119,7 @@ impl Maspar {
         obsv::gauge_set("maspar.virt_factor", out.virt_factor as f64);
         obsv::gauge_set("maspar.virt_pes", out.layout.virt_pes() as f64);
         let locally_consistent = is_locally_consistent(&network);
+        let (trace, metrics) = scope.finish();
         Ok(ParseReport {
             engine: self.name(),
             accepted: !parses.is_empty(),
@@ -135,54 +133,9 @@ impl Maspar {
             wall: start.elapsed(),
             machine_stats: Some(out.stats),
             estimated_seconds: Some(out.estimated_seconds),
-            trace: None,
-            metrics: None,
-            network,
-        })
-    }
-}
-
-impl Engine for Maspar {
-    fn name(&self) -> &'static str {
-        "maspar"
-    }
-
-    fn parse<'g>(&self, req: &ParseRequest<'g>) -> Result<ParseReport<'g>, EngineError> {
-        let sentence = req.require_sentence()?;
-        let scope = ObsvScope::begin(req);
-        let mut report = self.run_core(req, sentence)?;
-        let (trace, metrics) = scope.finish();
-        report.trace = trace;
-        report.metrics = metrics;
-        Ok(report)
-    }
-
-    /// Sentences run one after another on the (single) simulated array.
-    /// A sentence the machine cannot take — unsupported layout, blown
-    /// budget pre-check, unrecoverable faults — becomes a rejected,
-    /// `degraded` outcome instead of failing the whole batch.
-    fn parse_batch(
-        &self,
-        sentences: &[Sentence],
-        req: &ParseRequest<'_>,
-    ) -> Result<BatchReport, EngineError> {
-        let scope = ObsvScope::begin(req);
-        let start = Instant::now();
-        let mut outcomes = Vec::with_capacity(sentences.len());
-        for sentence in sentences {
-            match self.run_core(req, sentence) {
-                Ok(report) => outcomes.push(report.summary()),
-                Err(_) => outcomes.push(rejected_outcome()),
-            }
-        }
-        obsv::counter_add("batch.sentences", sentences.len() as u64);
-        let (trace, metrics) = scope.finish();
-        Ok(BatchReport {
-            engine: self.name(),
-            outcomes,
-            wall: start.elapsed(),
             trace,
             metrics,
+            network,
         })
     }
 }

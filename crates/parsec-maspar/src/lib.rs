@@ -52,7 +52,4 @@ pub use engine::{
     parse_maspar, parse_maspar_checked, MasparOptions, MasparOutcome, PhaseStats, RecoveryReport,
 };
 pub use layout::Layout;
-pub use retry::{
-    faults_for_attempt, parse_with_retry, parse_with_retry_warm, request_key, RetryPolicy,
-    RetryStats,
-};
+pub use retry::{faults_for_attempt, parse_with_retry_warm, request_key, RetryPolicy, RetryStats};

@@ -24,7 +24,7 @@
 //!   and clears afterwards (a persistent plan never clears). This is how a
 //!   fault-injection harness expresses "the machine was sick, then
 //!   recovered".
-//! * [`parse_with_retry`] — the loop itself, returning both the final
+//! * [`parse_with_retry_warm`] — the loop itself, returning both the final
 //!   result and a [`RetryStats`] ledger the caller can reconcile against
 //!   its own accounting.
 
@@ -125,7 +125,8 @@ pub fn faults_for_attempt(
     }
 }
 
-/// Run `req` on `engine`, retrying transient failures
+/// Run `req` on `engine` against the caller's per-worker [`WarmState`]
+/// ([`Engine::parse_warm`]), retrying transient failures
 /// ([`EngineError::is_transient`]) up to `policy.max_attempts` total
 /// attempts with deterministic capped-exponential backoff. The request's
 /// fault plan is attenuated per attempt via [`faults_for_attempt`] with
@@ -134,42 +135,6 @@ pub fn faults_for_attempt(
 ///
 /// Non-transient errors and successes return immediately; the stats ledger
 /// always reports exactly what happened.
-pub fn parse_with_retry<'g>(
-    engine: &dyn Engine,
-    req: &ParseRequest<'g>,
-    transient_for: Option<usize>,
-    policy: &RetryPolicy,
-    mut sleep: impl FnMut(Duration),
-) -> (Result<ParseReport<'g>, EngineError>, RetryStats) {
-    let key = req
-        .sentence
-        .as_ref()
-        .map(|s| request_key(&s.to_string()))
-        .unwrap_or(0);
-    let max_attempts = policy.max_attempts.max(1);
-    let mut stats = RetryStats::default();
-    loop {
-        let attempt = stats.attempts;
-        stats.attempts += 1;
-        let mut attempt_req = req.clone();
-        attempt_req.faults = faults_for_attempt(req.faults.as_ref(), attempt, transient_for);
-        match engine.parse(&attempt_req) {
-            Ok(report) => return (Ok(report), stats),
-            Err(e) if e.is_transient() && stats.attempts < max_attempts => {
-                stats.retries += 1;
-                let delay = policy.backoff(key, stats.attempts);
-                stats.backoff_total += delay;
-                sleep(delay);
-            }
-            Err(e) => return (Err(e), stats),
-        }
-    }
-}
-
-/// [`parse_with_retry`] through the warm path: each attempt runs
-/// [`Engine::parse_warm`] against the caller's per-worker [`WarmState`].
-/// Identical retry/backoff/fault-attenuation semantics; engines without a
-/// warm override (PRAM, MasPar) fall through to their cold `parse`.
 pub fn parse_with_retry_warm<'g>(
     engine: &dyn Engine,
     req: &ParseRequest<'g>,
@@ -274,12 +239,13 @@ mod tests {
             .faults(lethal_plan())
             .max_parses(4);
         let mut slept = Vec::new();
-        let (result, stats) = parse_with_retry(
+        let (result, stats) = parse_with_retry_warm(
             &tiny_maspar(),
             &req,
             Some(1),
             &RetryPolicy::default(),
             |d| slept.push(d),
+            &mut WarmState::new(),
         );
         let report = result.expect("attempt 2 runs fault-free");
         assert!(report.accepted);
@@ -298,7 +264,14 @@ mod tests {
             max_attempts: 3,
             ..Default::default()
         };
-        let (result, stats) = parse_with_retry(&tiny_maspar(), &req, None, &policy, |_| {});
+        let (result, stats) = parse_with_retry_warm(
+            &tiny_maspar(),
+            &req,
+            None,
+            &policy,
+            |_| {},
+            &mut WarmState::new(),
+        );
         match result {
             Err(EngineError::PeFailure { dead, .. }) => assert!(!dead.is_empty()),
             other => panic!("expected PeFailure, got {other:?}"),
@@ -312,12 +285,13 @@ mod tests {
         let g = paper::grammar();
         // No sentence -> GrammarError, which must not burn retries.
         let req = ParseRequest::new(&g);
-        let (result, stats) = parse_with_retry(
+        let (result, stats) = parse_with_retry_warm(
             &Maspar::default(),
             &req,
             None,
             &RetryPolicy::default(),
             |_| panic!("must not sleep"),
+            &mut WarmState::new(),
         );
         assert!(matches!(result, Err(EngineError::GrammarError(_))));
         assert_eq!(stats.attempts, 1);

@@ -41,7 +41,9 @@ use crate::admission::{decide, Admit, SloClass};
 use crate::cache::{request_digest, ResponseCache};
 use crate::fleet::{BandPlan, BandSpec};
 use crate::queue::{Bounded, PushError};
-use crate::wire::{self, cause_field, render_fields, Request, PROTOCOL_VERSION};
+use crate::wire::{
+    self, cause_field, render_fields, Request, WireError, MAX_LINE_BYTES, PROTOCOL_VERSION,
+};
 use crate::{engine_for, ServeConfig, ServeStats, StatsSnapshot};
 use cdg_core::api::{Engine, ParseRequest, WarmState};
 use cdg_core::{EngineConfig, EngineError};
@@ -50,7 +52,7 @@ use cdg_grammar::{CompiledGrammar, Grammar, Lexicon};
 use maspar_sim::MachineStats;
 use parsec_maspar::parse_with_retry_warm;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -551,21 +553,51 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     {
         return;
     }
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = handle_line(shared, &line);
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    loop {
+        let response = match read_bounded_line(&mut reader, &mut buf) {
+            Ok(Some(Ok(line))) if line.trim().is_empty() => continue,
+            Ok(Some(line)) => handle_line(shared, line),
+            Ok(None) | Err(_) => break,
+        };
         if writer.write_all(response.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
             break;
         }
     }
 }
 
-fn handle_line(shared: &Arc<Shared>, line: &str) -> String {
+/// Read one request line through `buf`, which holds at most
+/// [`MAX_LINE_BYTES`] of it plus its `\r\n`; the newline (and a `\r`
+/// before it) is stripped. A longer line is skipped through its newline
+/// without being kept and comes back as [`WireError::LineTooLong`]. `None`
+/// at end of stream; a line that is not UTF-8 is an `InvalidData` error.
+fn read_bounded_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'b str, WireError>>> {
+    buf.clear();
+    if Read::take(&mut *reader, MAX_LINE_BYTES as u64 + 2).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    let ended = buf.last() == Some(&b'\n');
+    let line: &'b [u8] = buf;
+    let line = line.strip_suffix(b"\n").unwrap_or(line);
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    if line.len() > MAX_LINE_BYTES {
+        if !ended {
+            reader.skip_until(b'\n')?;
+        }
+        return Ok(Some(Err(WireError::LineTooLong)));
+    }
+    let line =
+        std::str::from_utf8(line).map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
+    Ok(Some(Ok(line)))
+}
+
+fn handle_line(shared: &Arc<Shared>, line: Result<&str, WireError>) -> String {
     let stats = &shared.stats;
-    match wire::parse_request(line, shared.config.machine.phys_pes) {
+    match line.and_then(|line| wire::parse_request(line, shared.config.machine.phys_pes)) {
         Ok(Request::Ping) => "PONG".into(),
         Ok(Request::Stats) => stats_line(shared),
         Ok(Request::Shutdown) => {

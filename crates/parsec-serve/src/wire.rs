@@ -56,9 +56,17 @@ pub const PROTOCOL_VERSION: &str = "parsec-wire/2";
 pub enum WireError {
     /// `PARSE` carried a `k=v` whose key is not in the shared table.
     UnknownKey { key: String },
+    /// The line ran past [`MAX_LINE_BYTES`]; it was skipped unbuffered.
+    LineTooLong,
     /// Anything else: unknown verb, bad option value, not key=value.
     Malformed(String),
 }
+
+/// The longest request line the server reads, its `\n` or `\r\n` ending
+/// excluded. A longer
+/// line is answered with `ERR cause=line-too-long` and skipped to its
+/// newline without being buffered.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 impl WireError {
     /// Render the one `ERR` line this error owes the client.
@@ -67,6 +75,13 @@ impl WireError {
             WireError::UnknownKey { key } => render_fields(
                 "ERR",
                 &[("cause", "unknown-key".into()), ("key", key.clone())],
+            ),
+            WireError::LineTooLong => render_fields(
+                "ERR",
+                &[
+                    ("cause", "line-too-long".into()),
+                    ("max_bytes", MAX_LINE_BYTES.to_string()),
+                ],
             ),
             WireError::Malformed(msg) => render_fields("ERR", &[("proto", msg.clone())]),
         }

@@ -150,6 +150,52 @@ fn lexicon_and_protocol_errors_are_typed() {
 }
 
 #[test]
+fn oversized_lines_are_refused_and_the_connection_keeps_serving() {
+    let handle = Server::start(english_config()).unwrap();
+    let mut client = Client::connect(handle.addr());
+    // A 1 MiB line: far past the 64 KiB bound, so the server must skip
+    // it to its newline rather than buffer it.
+    let long = format!("PARSE {}", "dog ".repeat(256 * 1024));
+    let (status, fields) = client.roundtrip(&long);
+    assert_eq!(status, "ERR");
+    assert_eq!(field(&fields, "cause"), "line-too-long");
+    assert_eq!(
+        field(&fields, "max_bytes"),
+        parsec_serve::wire::MAX_LINE_BYTES.to_string()
+    );
+    assert_eq!(client.request("PING"), "PONG");
+    // A line at the bound is still read whole.
+    let at_bound = format!(
+        "PARSE -- {}",
+        "x".repeat(parsec_serve::wire::MAX_LINE_BYTES - 9)
+    );
+    assert_eq!(at_bound.len(), parsec_serve::wire::MAX_LINE_BYTES);
+    let (status, fields) = client.roundtrip(&at_bound);
+    assert_eq!(status, "ERR");
+    assert_eq!(
+        decode_cause(field(&fields, "cause")).unwrap().code(),
+        "LEXICON"
+    );
+    // The bound excludes the line ending, so the same line sent with a
+    // CRLF ending is read whole too; one byte more is refused.
+    let (status, fields) = client.roundtrip(&format!("{at_bound}\r"));
+    assert_eq!(status, "ERR");
+    assert_eq!(
+        decode_cause(field(&fields, "cause")).unwrap().code(),
+        "LEXICON"
+    );
+    let (status, fields) = client.roundtrip(&format!("{at_bound}x\r"));
+    assert_eq!(status, "ERR");
+    assert_eq!(field(&fields, "cause"), "line-too-long");
+    assert_eq!(client.request("PING"), "PONG");
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.proto_errors, 2);
+    assert_eq!(stats.requests, 2);
+    assert_eq!(stats.parse_responses(), stats.requests);
+}
+
+#[test]
 fn empty_sentence_is_a_typed_lexicon_error_not_a_proto_error() {
     // `PARSE --` used to be rejected at the protocol layer with an
     // untyped proto= line, while the CLI's empty --batch exited silently:

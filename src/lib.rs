@@ -59,12 +59,7 @@ use cdg_core::api::Engine;
 /// [`Engine::parse_batch`] with default backend configuration; construct
 /// [`parsec_maspar::Maspar`] directly to customize the machine shape.
 pub fn engine_by_name(name: &str) -> Option<Box<dyn Engine>> {
-    match name {
-        "serial" => Some(Box::new(cdg_core::api::Sequential)),
-        "pram" => Some(Box::new(cdg_parallel::Pram)),
-        "maspar" => Some(Box::new(parsec_maspar::Maspar::default())),
-        _ => None,
-    }
+    parsec_serve::engine_for(name, &maspar_sim::MachineConfig::default())
 }
 
 /// The most common imports.

@@ -4,22 +4,6 @@ use cdg_core::api::{Engine, ParseRequest};
 use cdg_core::BatchOutcome;
 use cdg_grammar::Sentence;
 
-/// The row a batch reports for a sentence its engine refuses to run
-/// (the MasPar layout rejects lexical ambiguity): rejected and degraded,
-/// nothing alive.
-fn refused_row() -> BatchOutcome {
-    BatchOutcome {
-        accepted: false,
-        ambiguous: false,
-        roles_nonempty: false,
-        locally_consistent: false,
-        filter_passes: 0,
-        degraded: true,
-        total_alive: 0,
-        parses: Vec::new(),
-    }
-}
-
 /// `Engine::parse_batch` must summarize every sentence exactly as that
 /// sentence's solo `Engine::parse` does. A batch the engine refuses
 /// outright (a fault plan on a host engine) must be refused solo too.
@@ -42,7 +26,7 @@ pub fn assert_batch_matches_solo(
     };
     assert_eq!(report.outcomes.len(), sentences.len(), "{name}");
     for (s, row) in sentences.iter().zip(&report.outcomes) {
-        let expected = solo(s).map_or_else(|_| refused_row(), |r| r.summary());
+        let expected = solo(s).map_or_else(|_| BatchOutcome::refused(), |r| r.summary());
         assert_eq!(
             row, &expected,
             "{name}: batch row diverged from solo parse of `{s}`"

@@ -7,11 +7,11 @@
 mod common;
 
 use bitmat::BitVec;
-use cdg_core::api::ParseRequest;
-use cdg_core::parser::{parse, parse_with_pool, FilterMode, ParseOptions};
-use cdg_core::{ArcPool, PrecedenceGraph};
+use cdg_core::api::{Engine, ParseRequest, Sequential, WarmState};
+use cdg_core::parser::{parse, FilterMode, ParseOptions};
+use cdg_core::PrecedenceGraph;
 use cdg_grammar::{Grammar, Sentence};
-use cdg_parallel::parse_pram;
+use cdg_parallel::{parse_pram, Pram};
 use parsec_maspar::{parse_maspar, MasparOptions};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -99,22 +99,25 @@ fn batch_parsing_byte_identical_across_thread_counts_and_vs_sequential() {
     let (g, lex) = corpus::standard_setup();
     let sentences: Vec<Sentence> = (0..SEEDS).map(|s| seeded_sentence(&g, &lex, s)).collect();
 
-    let sequential = cdg_core::parse_batch(&g, &sentences, options(), 64);
-    // The batch summaries must match per-sentence parsing exactly ...
+    let req = ParseRequest::new(&g).options(options()).max_parses(64);
+    let sequential = Sequential.parse_batch(&sentences, &req).unwrap().outcomes;
+    // The batch summaries (one warm state for the whole batch) must match
+    // per-sentence cold parsing exactly ...
     for (s, summary) in sentences.iter().zip(&sequential) {
-        let solo = parse(&g, s, options());
+        let solo = Sequential.parse(&req.batch_item(s)).unwrap();
         assert_eq!(
             summary,
-            &cdg_core::BatchOutcome::summarize(&solo, 64),
+            &solo.summary(),
             "batch summary diverged from solo parse on `{s}`"
         );
     }
     // ... and the parallel batch must match the sequential batch at
-    // every thread count (pool-vs-sequential execution included: the
-    // parallel path is pooled, the solo path above is not).
+    // every thread count (one warm state per worker chunk).
     for threads in [1usize, 2, 8] {
-        rayon::set_num_threads(threads);
-        let parallel = cdg_parallel::parse_batch(&g, &sentences, options(), 64);
+        let parallel = Pram
+            .parse_batch(&sentences, &req.clone().threads(threads))
+            .unwrap()
+            .outcomes;
         assert_eq!(
             sequential, parallel,
             "parallel batch diverged at {threads} threads"
@@ -139,23 +142,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Pooled execution is invisible: a parse drawing matrices from a
-    /// warm, arbitrarily-reused pool equals the pool-less parse.
+    /// warm, arbitrarily-reused state equals the pool-less parse.
     #[test]
     fn pooled_parse_equals_unpooled(n in 3usize..9, seed in 0u64..1000) {
         let (g, lex) = corpus::standard_setup();
         let s = corpus::english_sentence(&g, &lex, n, seed);
         let cold = parse(&g, &s, options());
 
-        // Warm the pool with a different sentence first so recycled (and
+        // Warm the state with a different sentence first so recycled (and
         // wrong-sized) buffers are actually exercised.
-        let mut pool = ArcPool::new();
-        let warm = corpus::english_sentence(&g, &lex, 3 + (seed % 4) as usize, seed ^ 0x5a5a);
-        parse_with_pool(&g, &warm, options(), &mut pool).network.recycle(&mut pool);
+        let req = ParseRequest::new(&g).options(options()).max_parses(0);
+        let mut warm = WarmState::new();
+        let first = corpus::english_sentence(&g, &lex, 3 + (seed % 4) as usize, seed ^ 0x5a5a);
+        let mut report = Sequential.parse_warm(&req.batch_item(&first), &mut warm).unwrap();
+        warm.recycle_report(&mut report);
 
-        let pooled = parse_with_pool(&g, &s, options(), &mut pool);
+        let pooled = Sequential.parse_warm(&req.batch_item(&s), &mut warm).unwrap();
         prop_assert_eq!(fingerprint(&cold.network), fingerprint(&pooled.network));
         prop_assert_eq!(cold.roles_nonempty, pooled.roles_nonempty);
         prop_assert_eq!(cold.filter_passes, pooled.filter_passes);
-        prop_assert!(pool.stats.reuses > 0, "pool was never exercised");
+        prop_assert!(warm.pool_stats().reuses > 0, "pool was never exercised");
     }
 }

@@ -166,7 +166,29 @@ fn batch_tracing_is_inert() {
             "{}: tracing changed batch outcomes",
             engine.name()
         );
-        assert!(armed.trace.is_some());
+        // One `parse` root per sentence: no per-sentence scope may take
+        // the batch trace or leave a root out of it.
+        let roots = &armed.trace.as_ref().expect("trace requested").roots;
+        assert_eq!(
+            roots.len(),
+            sentences.len(),
+            "{}: batch trace roots",
+            engine.name()
+        );
+        assert!(roots.iter().all(|r| r.name == "parse"), "{}", engine.name());
+        let metrics = armed.metrics.as_ref().unwrap();
+        assert_eq!(
+            metrics.counter("batch.sentences"),
+            Some(sentences.len() as u64)
+        );
+        // Every report is recycled inside the batch, so its arc matrices
+        // count as released there. The host engines release all they
+        // acquired; MasPar builds its networks outside the pool.
+        let releases = metrics.counter("pool.releases");
+        assert!(releases > Some(0), "{}: no releases", engine.name());
+        if let Some(acquires) = metrics.counter("pool.acquires") {
+            assert_eq!(releases, Some(acquires), "{}", engine.name());
+        }
     }
     assert!(!obsv::tracing_enabled() && !obsv::metrics_enabled());
 }
